@@ -256,26 +256,19 @@ fn parse_json(text: &str) -> Result<Json, String> {
 
 // --- Live engine profiling -------------------------------------------
 
-const RUNGS: [(&str, ExecMode, bool, bool); 4] = [
-    ("tree", ExecMode::Interpreted, false, false),
-    ("unfused", ExecMode::Aot, false, false),
-    ("fused", ExecMode::Aot, true, false),
-    ("register", ExecMode::Aot, true, true),
+const RUNGS: [(&str, ExecMode, bool); 3] = [
+    ("tree", ExecMode::Interpreted, false),
+    ("unfused register", ExecMode::Aot, false),
+    ("fused register", ExecMode::Aot, true),
 ];
 
 /// Runs `kernel(n)` with counting enabled on one rung.
-fn profile_rung(
-    module: &watz_wasm::Module,
-    mode: ExecMode,
-    fuse: bool,
-    reg: bool,
-    n: i32,
-) -> ExecProfile {
+fn profile_rung(module: &watz_wasm::Module, mode: ExecMode, fuse: bool, n: i32) -> ExecProfile {
     let mut inst = Instance::instantiate_with_profile(
         module,
         mode,
         fuse,
-        reg,
+        true,
         ProfileMode::Count,
         &mut NoHost,
     )
@@ -285,10 +278,10 @@ fn profile_rung(
     *inst.profile().expect("counting profile exists")
 }
 
-/// Profiles one kernel on all four rungs and asserts instret parity —
-/// the report generator doubles as a correctness check.
-fn profile_ladder(name: &str, module: &watz_wasm::Module, n: i32) -> [ExecProfile; 4] {
-    let profiles = RUNGS.map(|(_, mode, fuse, reg)| profile_rung(module, mode, fuse, reg, n));
+/// Profiles one kernel on every rung and asserts instret parity — the
+/// report generator doubles as a correctness check.
+fn profile_ladder(name: &str, module: &watz_wasm::Module, n: i32) -> [ExecProfile; 3] {
+    let profiles = RUNGS.map(|(_, mode, fuse)| profile_rung(module, mode, fuse, n));
     for ((label, ..), p) in RUNGS.iter().zip(&profiles) {
         assert_eq!(
             p.instret, profiles[0].instret,
@@ -522,18 +515,19 @@ fn main() {
         w,
         "Live counters over the PolyBench suite at n={PROFILE_N}, `WATZ_PROFILE`-style\n\
          counting on every rung. **instret** (retired guest instructions) is asserted\n\
-         identical across tree/unfused/fused/register while generating this table —\n\
-         the ladder optimizes host dispatches per guest instruction, never the guest\n\
-         instruction stream itself. `ops/instr` is host dispatches divided by instret."
+         identical across the tree oracle and unfused/fused register code while\n\
+         generating this table — the ladder optimizes host dispatches per guest\n\
+         instruction, never the guest instruction stream itself. `ops/instr` is host\n\
+         dispatches divided by instret."
     )
     .unwrap();
     writeln!(w).unwrap();
     writeln!(
         w,
-        "| kernel | instret | loads | stores | backedges | tree ops/instr | unfused | fused | register |"
+        "| kernel | instret | loads | stores | backedges | tree ops/instr | unfused register | fused register |"
     )
     .unwrap();
-    writeln!(w, "|---|---|---|---|---|---|---|---|---|").unwrap();
+    writeln!(w, "|---|---|---|---|---|---|---|---|").unwrap();
 
     let suite: Vec<_> = workloads::polybench::suite().into_iter().collect();
     let mut ladder_profiles = Vec::new();
@@ -544,16 +538,15 @@ fn main() {
         let p0 = &profiles[0];
         writeln!(
             w,
-            "| {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            "| {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.2} |",
             kernel.name,
             p0.instret,
             p0.loads(),
             p0.stores(),
-            profiles[3].backedges,
+            profiles[2].backedges,
             profiles[0].ops_per_instr(),
             profiles[1].ops_per_instr(),
             profiles[2].ops_per_instr(),
-            profiles[3].ops_per_instr(),
         )
         .unwrap();
         ladder_profiles.push(profiles);
@@ -561,12 +554,12 @@ fn main() {
     let dispatch_compression = geomean(
         ladder_profiles
             .iter()
-            .map(|p| p[0].ops_per_instr() / p[3].ops_per_instr()),
+            .map(|p| p[0].ops_per_instr() / p[2].ops_per_instr()),
     );
     writeln!(w).unwrap();
     writeln!(
         w,
-        "Geomean dispatch compression, tree → register: **{dispatch_compression:.2}x** \
+        "Geomean dispatch compression, tree → fused register: **{dispatch_compression:.2}x** \
          fewer host dispatches per retired guest instruction."
     )
     .unwrap();
@@ -584,7 +577,8 @@ fn main() {
          elision, and the independent IR verifier all on (the `WATZ_VERIFY_IR=1`\n\
          configuration). **proven** is memory accesses the interval/subsumption\n\
          analysis discharged; **elided** is proven accesses actually rewritten to\n\
-         check-free opcodes (flat + register forms counted separately);\n\
+         check-free opcodes (all counted on the register form, the one that runs);\n\
+         **verified ops** counts the flat and register forms the verifier checked;\n\
          **obligations** is check-free opcodes whose proof the verifier re-derived\n\
          from scratch before accepting the code. Counts are exact properties of the\n\
          kernels, so this table is machine-independent and drift-gated like the rest\n\
@@ -607,7 +601,6 @@ fn main() {
         let inst = Instance::instantiate_with_analysis(
             &module,
             ExecMode::Aot,
-            true,
             true,
             true,
             true,
@@ -676,7 +669,9 @@ fn main() {
                 "Times quoted from the `{}` sweep recorded {} ({}). Guest MIPS divides\n\
                  the live retired-instruction count at n={SWEEP_N} (machine-independent)\n\
                  by the recorded time, so the columns measure how fast each rung retires\n\
-                 the *same* guest work on the recorded machine.",
+                 the *same* guest work on the recorded machine. The unfused and fused\n\
+                 columns are the stack-form rungs of that sweep, since retired; register\n\
+                 is fused register code, the one compiled executor today.",
                 entry
                     .get("command")
                     .and_then(Json::as_str)
@@ -703,7 +698,7 @@ fn main() {
                 let module = watz_wasm::load(&wasm).expect("kernel loads");
                 // Counts are rung-independent (parity asserted above), so
                 // one counted register-engine run prices all three rungs.
-                let p = profile_rung(&module, ExecMode::Aot, true, true, SWEEP_N);
+                let p = profile_rung(&module, ExecMode::Aot, true, SWEEP_N);
                 let mips = |t: f64| p.instret as f64 / t / 1e6;
                 writeln!(
                     w,

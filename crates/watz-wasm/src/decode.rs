@@ -39,7 +39,14 @@ pub enum DecodeError {
     FuncCodeMismatch,
     /// Malformed constant expression.
     BadConstExpr,
+    /// A function body declares more than [`MAX_FUNCTION_LOCALS`] locals.
+    TooManyLocals,
 }
+
+/// Most locals one function body may declare (wasmparser's
+/// `MAX_WASM_FUNCTION_LOCALS`). Local counts are guest-supplied, so the
+/// decoder checks the total before allocating anything.
+pub const MAX_FUNCTION_LOCALS: u32 = 50_000;
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -59,6 +66,12 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "function and code section counts differ")
             }
             DecodeError::BadConstExpr => write!(f, "malformed constant expression"),
+            DecodeError::TooManyLocals => {
+                write!(
+                    f,
+                    "function declares more than {MAX_FUNCTION_LOCALS} locals"
+                )
+            }
         }
     }
 }
@@ -600,10 +613,15 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
                     let body_end = r.pos + body_size;
                     let n_local_groups = r.u32()? as usize;
                     let mut locals = Vec::new();
+                    let mut n_locals = 0u32;
                     for _ in 0..n_local_groups {
-                        let n = r.u32()? as usize;
+                        let n = r.u32()?;
                         let ty = r.val_type()?;
-                        locals.extend(std::iter::repeat_n(ty, n));
+                        n_locals = n_locals
+                            .checked_add(n)
+                            .filter(|&total| total <= MAX_FUNCTION_LOCALS)
+                            .ok_or(DecodeError::TooManyLocals)?;
+                        locals.extend(std::iter::repeat_n(ty, n as usize));
                     }
                     let code = r.expr()?;
                     if r.pos != body_end {
@@ -681,6 +699,47 @@ mod tests {
         bytes.extend_from_slice(&[3, 1, 0]); // empty function section
         bytes.extend_from_slice(&[1, 1, 0]); // empty type section
         assert_eq!(decode(&bytes), Err(DecodeError::BadSectionOrder(1)));
+    }
+
+    /// A module with one `() -> ()` function whose body declares the given
+    /// i32 local groups (counts as 5-byte LEB128) and is otherwise empty.
+    fn module_with_local_groups(groups: &[u32]) -> Vec<u8> {
+        let mut body = vec![groups.len() as u8];
+        for &n in groups {
+            let mut v = n;
+            for _ in 0..4 {
+                body.push((v & 0x7f) as u8 | 0x80);
+                v >>= 7;
+            }
+            body.push(v as u8);
+            body.push(0x7f); // i32
+        }
+        body.push(0x0b); // end
+        let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+        bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type section
+        bytes.extend_from_slice(&[3, 2, 1, 0]); // function section
+        bytes.extend_from_slice(&[10, body.len() as u8 + 2, 1, body.len() as u8]);
+        bytes.extend_from_slice(&body);
+        bytes
+    }
+
+    #[test]
+    fn local_counts_are_bounded_before_allocation() {
+        // One group of 0xFFFF_FFF0 locals: 30 bytes of input that would
+        // otherwise allocate ~4 GiB.
+        let huge = module_with_local_groups(&[0xFFFF_FFF0]);
+        assert_eq!(huge.len(), 30);
+        assert_eq!(decode(&huge), Err(DecodeError::TooManyLocals));
+        // Two groups whose sum wraps a u32 to a small count.
+        let wrapping = module_with_local_groups(&[40_000, 0xFFFF_FFF0]);
+        assert_eq!(decode(&wrapping), Err(DecodeError::TooManyLocals));
+        // Two groups that together cross the limit by one.
+        let over = module_with_local_groups(&[25_000, MAX_FUNCTION_LOCALS - 24_999]);
+        assert_eq!(decode(&over), Err(DecodeError::TooManyLocals));
+        // Exactly at the limit still decodes.
+        let at = module_with_local_groups(&[25_000, MAX_FUNCTION_LOCALS - 25_000]);
+        let m = decode(&at).unwrap();
+        assert_eq!(m.funcs[0].locals.len(), MAX_FUNCTION_LOCALS as usize);
     }
 
     #[test]

@@ -1,50 +1,35 @@
 //! Execution: instantiation, the tree-walking interpreter, and dispatch to
-//! the flat engine.
+//! the register engine.
 //!
 //! WAMR (the runtime WaTZ embeds) offers interpreted, JIT and AOT execution;
 //! WaTZ uses AOT, reporting it "on average 28× faster than with
-//! interpretation" (§III). We reproduce the *mode structure* portably as a
-//! five-stage story:
+//! interpretation" (§III). We reproduce the *mode structure* portably with
+//! two executors:
 //!
 //! 1. **Tree-walking interpreter** ([`ExecMode::Interpreted`]): executes the
 //!    structured instruction sequence directly, re-discovering each block's
 //!    `end`/`else` by scanning forward at runtime, over an enum-tagged
 //!    [`Value`] stack — the classic naive interpreter, kept as the
 //!    differential oracle.
-//! 2. **Pre-resolved side tables** (the original `Aot` implementation, now
-//!    retired): same walker, but branch targets resolved once at load time.
-//!    It removed the scanning, not the tagging or the structured dispatch.
-//! 3. **Flattened engine** ([`ExecMode::Aot`], [`crate::flat`]): function
-//!    bodies are lowered at load time to a flat linear opcode array where
-//!    every branch is an absolute jump with its stack fix-up inlined, and
-//!    the operand stack is untagged 64-bit slots. This is the portable
-//!    analogue of WAMR's AOT step — translate once, run on a representation
-//!    built for execution rather than decoding.
-//! 4. **Superinstruction fusion** (on by default for [`ExecMode::Aot`]): a
-//!    load-time peephole pass over the flat code rewrites common adjacent
-//!    windows — local/const operand feeds, sinks into locals or memory,
-//!    array-address tails, compare-and-branch sequences — into single fused
-//!    opcodes with direct frame-slot addressing (see [`crate::flat`]).
-//!    `WATZ_NO_FUSE=1` or [`Instance::instantiate_with_fusion`] disables
-//!    just this pass (stage 5 still applies to the unfused code; combine
-//!    with `WATZ_NO_REG=1` — or use [`Instance::instantiate_with_engine`]
-//!    with both flags off — to pin the bare stage-3 engine).
-//! 5. **Register allocation** (on by default for [`ExecMode::Aot`],
-//!    [`crate::reg`]): an abstract-stack simulation rewrites the (fused)
-//!    flat code so every op carries explicit source/destination frame-slot
-//!    indices — `local.get`s forward into their consumers, intermediates
-//!    live at fixed slots, and the dispatch loop never pushes or pops an
-//!    operand stack (stack-polymorphic edges keep explicit move fix-ups).
-//!    `WATZ_NO_REG=1` or [`Instance::instantiate_with_engine`] pins the
-//!    stack-form stage-4 engine; counters are exposed as
-//!    [`crate::reg::RegStats`].
+//! 2. **Register engine** ([`ExecMode::Aot`]): every body is compiled once,
+//!    at load time, by three passes. [`crate::flat`] lowers it to a linear
+//!    opcode array with absolute jumps and inlined immediates, then fuses
+//!    common adjacent windows into superinstructions (`WATZ_NO_FUSE=1` or
+//!    [`Instance::instantiate_with_fusion`] skips fusion). [`crate::reg`]
+//!    then pins every operand-stack position to a fixed frame slot, so the
+//!    dispatch loop moves no operand stack at all. This is the portable
+//!    analogue of WAMR's AOT step — translate once, run on a
+//!    representation built for execution rather than decoding.
 //!
-//! All live engines share one semantics (identical results *and* identical
-//! traps) and are differentially tested against each other across the full
-//! PolyBench/speedtest/Genann suites plus randomized MiniC kernels, in
-//! every fused/unfused × register/stack combination. Because our engines
-//! stop short of native code generation, the speedup over interpretation
-//! is smaller than WAMR's 28× (see EXPERIMENTS.md for measured ratios).
+//! A module whose frames exceed the register encoding's `u16` slots runs
+//! on the tree oracle instead, and reports [`ExecMode::Interpreted`].
+//!
+//! Both executors share one semantics (identical results *and* identical
+//! traps) and are differentially tested against each other across the
+//! PolyBench/speedtest/Genann suites plus randomized MiniC kernels, over
+//! fused and unfused code. Because the register engine stops short of
+//! native code generation, the speedup over interpretation is smaller than
+//! WAMR's 28× (see EXPERIMENTS.md for measured ratios).
 
 use std::collections::HashMap;
 
@@ -201,8 +186,9 @@ impl std::error::Error for Trap {}
 pub enum ExecMode {
     /// Naive structured interpretation (branch targets found by scanning).
     Interpreted,
-    /// Ahead-of-time lowering to the flattened engine: absolute jumps,
-    /// inlined immediates, untagged operand slots (see [`crate::flat`]).
+    /// Ahead-of-time lowering to the register engine: absolute jumps,
+    /// inlined immediates, untagged values in fixed frame slots (see
+    /// [`crate::flat`] and [`crate::reg`]).
     Aot,
 }
 
@@ -429,9 +415,9 @@ pub(crate) fn nc_store(mem: &mut [u8], base: i32, offset: u32, bytes: &[u8]) {
 
 /// Guards the host-call boundary: a [`HostEnv`] returning a result count
 /// other than the import's declared arity would silently diverge the
-/// engines (stale slots in the register engine, corrupted operand-stack
-/// height in the stack engines), so every engine turns the mismatch into
-/// the same [`Trap::Host`] instead.
+/// engines (stale slots in the register engine, a corrupted operand stack
+/// in the tree interpreter), so both turn the mismatch into the same
+/// [`Trap::Host`] instead.
 pub(crate) fn check_host_results(
     module: &str,
     name: &str,
@@ -523,7 +509,7 @@ pub struct Instance {
     types: Vec<FuncType>,
     funcs: Vec<FuncDef>,
     bodies: Vec<PreparedFunc>,
-    /// Flat code, prepared at instantiation for [`ExecMode::Aot`].
+    /// Compiled code, prepared at instantiation for [`ExecMode::Aot`].
     flat: Option<flat::FlatModule>,
     memory: Memory,
     globals: Vec<Value>,
@@ -543,28 +529,26 @@ impl Instance {
     /// and element segments, prepares code for the chosen mode and runs the
     /// start function (if any).
     ///
+    /// An [`ExecMode::Aot`] module whose register frames exceed the `u16`
+    /// slot encoding runs on the tree oracle; [`Instance::mode`] then
+    /// reports [`ExecMode::Interpreted`].
+    ///
     /// # Errors
     ///
-    /// Returns [`Trap::Instantiation`] for out-of-bounds segments, or any
-    /// trap raised by the start function.
+    /// Returns [`Trap::Instantiation`] for out-of-bounds segments or a
+    /// module the compiler cannot lower, or any trap raised by the start
+    /// function.
     pub fn instantiate(
         module: &Module,
         mode: ExecMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_with_engine(
-            module,
-            mode,
-            !flat::fusion_disabled_by_env(),
-            !crate::reg::reg_disabled_by_env(),
-            host,
-        )
+        Self::instantiate_with_fusion(module, mode, !flat::fusion_disabled_by_env(), host)
     }
 
     /// [`Instance::instantiate`] with explicit control over superinstruction
-    /// fusion in the flat engine (`fuse` is ignored in
-    /// [`ExecMode::Interpreted`]). The register pass follows the
-    /// `WATZ_NO_REG` environment switch.
+    /// fusion (`fuse` is ignored in [`ExecMode::Interpreted`]); the register
+    /// pass runs over fused or unfused code alike.
     ///
     /// `instantiate` follows the `WATZ_NO_FUSE` environment switch; this
     /// entry point exists for fused-vs-unfused A/B comparison and
@@ -579,35 +563,19 @@ impl Instance {
         fuse: bool,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_with_engine(module, mode, fuse, !crate::reg::reg_disabled_by_env(), host)
+        Self::instantiate_with_profile(module, mode, fuse, true, ProfileMode::from_env(), host)
     }
 
-    /// [`Instance::instantiate`] with explicit control over both flat-engine
-    /// passes: superinstruction fusion (`fuse`) and register allocation
-    /// (`reg`). Both are ignored in [`ExecMode::Interpreted`]. This is the
-    /// full A/B matrix entry point — `WATZ_NO_FUSE`/`WATZ_NO_REG` reach the
-    /// same combinations without code changes.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Instance::instantiate`].
-    pub fn instantiate_with_engine(
-        module: &Module,
-        mode: ExecMode,
-        fuse: bool,
-        reg: bool,
-        host: &mut dyn HostEnv,
-    ) -> Result<Self, Trap> {
-        Self::instantiate_with_profile(module, mode, fuse, reg, ProfileMode::from_env(), host)
-    }
-
-    /// [`Instance::instantiate_with_engine`] with explicit control over
+    /// [`Instance::instantiate_with_fusion`] with explicit control over
     /// execution profiling. [`ProfileMode::Count`] maintains an
     /// [`ExecProfile`] (retired guest instructions, dispatch ops,
     /// per-class histogram, back edges, traps) readable via
     /// [`Instance::profile`]; [`ProfileMode::Off`] — the default, and
     /// what every other entry point selects unless `WATZ_PROFILE` is set
     /// — runs the unchanged unprofiled dispatch loops.
+    ///
+    /// `reg: false` skips register lowering, so the instance runs on the
+    /// tree oracle and reports [`ExecMode::Interpreted`].
     ///
     /// # Errors
     ///
@@ -620,11 +588,11 @@ impl Instance {
         profile: ProfileMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
+        let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_inner(
             module,
             mode,
             fuse,
-            reg,
             !crate::analysis::elision_disabled_by_env(),
             crate::verify::strict(),
             profile,
@@ -632,11 +600,11 @@ impl Instance {
         )
     }
 
-    /// [`Instance::instantiate_with_engine`] with explicit control over the
+    /// [`Instance::instantiate_with_fusion`] with explicit control over the
     /// static-analysis passes: `elide` enables the bounds-check-elision
     /// rewrite (range-analysis proofs are still computed and counted when it
-    /// is off), and `verify` runs the independent IR verifier over every
-    /// compiled rung before the instance can execute. The environment
+    /// is off), and `verify` runs the independent IR verifier over the flat
+    /// and register forms before the instance can execute. The environment
     /// switches `WATZ_NO_ELIDE` / `WATZ_VERIFY_IR` reach the same
     /// combinations without code changes.
     ///
@@ -649,7 +617,6 @@ impl Instance {
         module: &Module,
         mode: ExecMode,
         fuse: bool,
-        reg: bool,
         elide: bool,
         verify: bool,
         host: &mut dyn HostEnv,
@@ -658,7 +625,6 @@ impl Instance {
             module,
             mode,
             fuse,
-            reg,
             elide,
             verify,
             ProfileMode::from_env(),
@@ -666,17 +632,44 @@ impl Instance {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn instantiate_inner(
         module: &Module,
         mode: ExecMode,
         fuse: bool,
-        reg: bool,
         elide: bool,
         verify: bool,
         profile: ProfileMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
+        // The AOT preparation step: lower every body to flat code once, at
+        // load time, fuse it unless fusion is off, and register-lower it.
+        // Frames too large for the register encoding fall back to the tree
+        // oracle.
+        let flat = match mode {
+            ExecMode::Aot => match flat::FlatModule::compile_full(module, fuse, elide) {
+                Ok(fm) => Some(fm),
+                Err(flat::LowerError::FrameOverflow) => None,
+                Err(flat::LowerError::Invalid(trap)) => return Err(trap),
+            },
+            ExecMode::Interpreted => None,
+        };
+        let mode = if flat.is_some() {
+            ExecMode::Aot
+        } else {
+            ExecMode::Interpreted
+        };
+
+        // Independent re-verification of everything the lowering pipeline
+        // produced: abstract interpretation from the compiled bodies alone,
+        // no shared state with the lowering code above.
+        let verify_stats = match &flat {
+            Some(fm) if verify => Some(
+                crate::verify::verify_module(fm, &module.types)
+                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
+            ),
+            _ => None,
+        };
+
         let memory = module
             .memories
             .first()
@@ -693,9 +686,9 @@ impl Instance {
         let mut bodies = Vec::with_capacity(module.funcs.len());
         for f in &module.funcs {
             funcs.push(FuncDef::Local { body: bodies.len() });
-            // Aot instances execute flat code only; keeping the structured
-            // bodies would double per-instance code memory for nothing
-            // (func_type() needs just the type index).
+            // Aot instances execute compiled code only; keeping the
+            // structured bodies would double per-instance code memory for
+            // nothing (func_type() needs just the type index).
             let (locals, code) = match mode {
                 ExecMode::Interpreted => (f.locals.clone(), f.code.clone()),
                 ExecMode::Aot => (Vec::new(), Vec::new()),
@@ -706,26 +699,6 @@ impl Instance {
                 code,
             });
         }
-
-        // The AOT preparation step: lower every body to flat code once, at
-        // load time (replacing the old end/else side tables), then run the
-        // superinstruction fusion pass and the register-allocation pass
-        // unless they are switched off.
-        let flat = match mode {
-            ExecMode::Aot => Some(flat::FlatModule::compile_full(module, fuse, reg, elide)?),
-            ExecMode::Interpreted => None,
-        };
-
-        // Independent re-verification of everything the lowering pipeline
-        // produced: abstract interpretation from the flat bodies alone, no
-        // shared state with the lowering code above.
-        let verify_stats = match &flat {
-            Some(fm) if verify => Some(
-                crate::verify::verify_module(fm, &module.types)
-                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
-            ),
-            _ => None,
-        };
 
         let globals = module
             .globals
@@ -804,12 +777,11 @@ impl Instance {
         self.flat.as_ref().map(flat::FlatModule::fusion_stats)
     }
 
-    /// Register-allocation counts from the flat lowering (`None` for
-    /// interpreted instances and when the register pass is disabled or
-    /// fell back to the stack-form engine).
+    /// Register-allocation counts (`None` for interpreted instances,
+    /// including modules that fell back to the tree oracle).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        self.flat.as_ref().and_then(flat::FlatModule::reg_stats)
+        self.flat.as_ref().map(flat::FlatModule::reg_stats)
     }
 
     /// Verifier counters from instantiation-time IR verification (`None`
@@ -821,7 +793,7 @@ impl Instance {
         self.verify
     }
 
-    /// Range-analysis counters from the flat lowering (`None` for
+    /// Range-analysis counters over the register bodies (`None` for
     /// interpreted instances). Proof counts are maintained even when the
     /// elision rewrite itself is off (`WATZ_NO_ELIDE`), so A/B runs can
     /// confirm the same accesses were proven.
@@ -916,35 +888,20 @@ impl Instance {
         args: &[Value],
         _depth: usize,
     ) -> Result<Vec<Value>, Trap> {
-        // Aot instances run on the flat engine — register form when the
-        // register pass prepared one, stack form otherwise; the structured
-        // bodies below are only walked in Interpreted mode.
+        // Aot instances run on the register engine; the structured bodies
+        // below are only walked in Interpreted mode.
         if let Some(flat) = &self.flat {
-            return if flat.reg.is_some() {
-                crate::reg::run(
-                    flat,
-                    &self.types,
-                    &self.table,
-                    &mut self.memory,
-                    &mut self.globals,
-                    host,
-                    func_idx,
-                    args,
-                    self.profile.as_deref_mut(),
-                )
-            } else {
-                flat::run(
-                    flat,
-                    &self.types,
-                    &self.table,
-                    &mut self.memory,
-                    &mut self.globals,
-                    host,
-                    func_idx,
-                    args,
-                    self.profile.as_deref_mut(),
-                )
-            };
+            return crate::reg::run(
+                flat,
+                &self.types,
+                &self.table,
+                &mut self.memory,
+                &mut self.globals,
+                host,
+                func_idx,
+                args,
+                self.profile.as_deref_mut(),
+            );
         }
         match &self.funcs[func_idx as usize] {
             FuncDef::Import { module, name, .. } => {

@@ -12,22 +12,22 @@
 //! * an **executor** with two modes ([`exec`]):
 //!   [`ExecMode::Interpreted`] walks structured opcodes and discovers branch
 //!   targets by scanning, like a naive interpreter, while [`ExecMode::Aot`]
-//!   runs the flattened pre-resolved engine: bodies lowered at load time to
-//!   a linear opcode array with absolute jumps, inlined immediates and an
-//!   untagged 64-bit operand stack, peephole-fused into superinstructions
-//!   ([`flat`], [`FusionStats`]; disable with `WATZ_NO_FUSE=1`), then
-//!   register-allocated so every op addresses fixed frame slots and the
-//!   dispatch loop moves no operand stack at all ([`reg`], [`RegStats`];
-//!   disable with `WATZ_NO_REG=1`) — the stand-in for WAMR's AOT mode (the
-//!   real thing emits native code; ours stays portable, so the AOT/interp
-//!   gap is smaller than the paper's 28x, as documented in
-//!   EXPERIMENTS.md);
+//!   runs the register engine: bodies lowered at load time to a linear
+//!   opcode array with absolute jumps and inlined immediates,
+//!   peephole-fused into superinstructions ([`flat`], [`FusionStats`];
+//!   disable with `WATZ_NO_FUSE=1`), then register-allocated so every op
+//!   addresses fixed frame slots and the dispatch loop moves no operand
+//!   stack at all ([`reg`], [`RegStats`]) — the stand-in for WAMR's AOT
+//!   mode (the real thing emits native code; ours stays portable, so the
+//!   AOT/interp gap is smaller than the paper's 28x, as documented in
+//!   EXPERIMENTS.md). A module whose frames overflow the register
+//!   encoding runs on the interpreter instead;
 //! * an independent **IR verifier** and value-range **analysis** ([`verify`],
-//!   [`analysis`]): abstract interpretation over the compiled rungs that
-//!   re-proves every lowering invariant (`WATZ_VERIFY_IR=1` makes it a
-//!   hard instantiation gate, [`VerifyStats`]) and proves memory accesses
-//!   in bounds so the flat and register engines can run them check-free
-//!   (`WATZ_NO_ELIDE=1` disables the rewrite, [`RangeStats`]);
+//!   [`analysis`]): abstract interpretation over the flat and register
+//!   forms that re-proves every lowering invariant (`WATZ_VERIFY_IR=1`
+//!   makes it a hard instantiation gate, [`VerifyStats`]) and proves
+//!   memory accesses in bounds so the register engine can run them
+//!   check-free (`WATZ_NO_ELIDE=1` disables the rewrite, [`RangeStats`]);
 //! * an **encoder** and a programmatic **builder** ([`encode`], [`builder`])
 //!   used by the MiniC compiler (the reproduction's stand-in for WASI-SDK)
 //!   and by tests.

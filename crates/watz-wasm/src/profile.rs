@@ -1,7 +1,8 @@
 //! Execution profiling for the engine ladder: retired-guest-instruction
 //! accounting (`instret`), host dispatch counts, a per-opcode-class
-//! histogram, loop back-edge counts and trap counts, shared by all four
-//! engine rungs.
+//! histogram, loop back-edge counts and trap counts, shared by every
+//! engine rung: the tree oracle and the register engine over unfused or
+//! fused code.
 //!
 //! # Zero overhead when off
 //!
@@ -22,12 +23,12 @@
 //! `instret` counts *retired guest instructions*: every structured
 //! opcode the tree oracle dispatches except the shape-only ones
 //! (`block`/`loop`/`end`/`else`/`nop`, which the flat lowering erases).
-//! The flat, fused and register engines execute fewer host ops than
-//! that, so each lowered op carries a [`ProfOp`] weight — how many
-//! guest instructions it retires — computed at lowering time. Counting
-//! is *inclusive at fetch*: an op's full weight retires when it is
-//! dispatched, before it can trap, and the fusion pass never extends a
-//! window past a trap-capable div/rem, so all four rungs retire exactly
+//! The register engine executes fewer host ops than that (fewer still
+//! over fused code), so each lowered op carries a [`ProfOp`] weight —
+//! how many guest instructions it retires — computed at lowering time.
+//! Counting is *inclusive at fetch*: an op's full weight retires when it
+//! is dispatched, before it can trap, and the fusion pass never extends
+//! a window past a trap-capable div/rem, so every rung retires exactly
 //! the same count for the same input — including programs that trap,
 //! up to and including the trapping instruction. The differential suite
 //! pins this.
@@ -307,7 +308,7 @@ impl ExecProfile {
     }
 
     /// Host dispatch ops per retired guest instruction (1.0 for the
-    /// tree/flat rungs, < 1.0 once fusion/regalloc batch guest work).
+    /// tree rung, < 1.0 once fusion/regalloc batch guest work).
     #[must_use]
     pub fn ops_per_instr(&self) -> f64 {
         if self.instret == 0 {

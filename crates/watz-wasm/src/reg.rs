@@ -1,10 +1,10 @@
-//! Register-form execution: the flat engine lowered one step further, so
-//! the hot dispatch loop never pushes or pops an operand stack.
+//! Register-form execution: the one compiled executor behind
+//! [`ExecMode::Aot`], whose dispatch loop never pushes or pops an operand
+//! stack.
 //!
-//! [`crate::flat`] already turned structured bodies into a linear opcode
-//! array, but its executor still shuffles a runtime operand stack:
-//! `local.get` pushes a copy, every operator pops its inputs and pushes its
-//! result, and the stack pointer moves on almost every dispatch. Validation
+//! [`crate::flat`] turns structured bodies into a linear opcode array
+//! whose ops still speak in operand-stack terms: `local.get` pushes a
+//! copy, every operator pops its inputs and pushes its result. Validation
 //! makes all of that motion statically known — at any program point the
 //! operand-stack *height* is a compile-time constant, so the value "at
 //! height `h`" can live in the fixed frame slot `n_locals + h` instead.
@@ -38,34 +38,27 @@
 //! [`check_jump_targets`] verifies every remapped target lands on a real
 //! instruction before the code ever runs.
 //!
-//! The pass is all-or-nothing per module: if any function cannot be
-//! register-lowered (e.g. a frame too large for the `u16` slot encoding),
-//! the whole module stays on the stack-form flat engine — the two frame
-//! layouts cannot call each other. `WATZ_NO_REG=1` (any non-empty value
-//! other than `0`) pins the stack-form engine for bisection;
-//! [`RegStats`] reports what the pass did.
+//! A frame too large for the `u16` slot encoding is not an error: the
+//! pass reports [`LowerError::FrameOverflow`] and the whole instance runs
+//! on the tree-walking oracle instead. Any other lowering failure is a
+//! [`Trap::Instantiation`]. [`RegStats`] reports what the pass did.
 //!
-//! Semantics (including every trap) are identical to the stack-form flat
-//! engine and the tree-walking oracle; the differential suites run all
-//! engines in every fused/unfused × register/stack combination.
+//! Semantics (including every trap) are identical to the tree-walking
+//! oracle; the differential suites run the register engine over both
+//! fused and unfused flat code against it.
+//!
+//! [`ExecMode::Aot`]: crate::exec::ExecMode
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
     apply_binop, as_f32, as_f64, as_i32, as_i64, as_u32, as_u64, bad, binop_kind, do_load,
     do_store, from_f32, from_f64, from_i32, from_i64, load_kind, slot_from_value, store_kind,
-    value_from_slot, BinOpKind, FlatFunc, FlatFuncDef, FlatModule, FlatOp, LoadKind, Slot,
-    StoreKind,
+    value_from_slot, BinOpKind, FlatFunc, FlatFuncDef, FlatModule, FlatOp, LoadKind, LowerError,
+    Slot, StoreKind,
 };
 use crate::module::Module;
 use crate::profile::{OpClass, ProfOp, Profiler};
 use crate::types::{FuncType, ValType};
-
-/// True when the `WATZ_NO_REG` environment switch (any non-empty value
-/// other than `0`) disables the register pass, keeping the stack-form flat
-/// engine reachable for bisection.
-pub(crate) fn reg_disabled_by_env() -> bool {
-    std::env::var_os("WATZ_NO_REG").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"))
-}
 
 /// Counters from the register-allocation pass over a whole module,
 /// reported by [`Instance::reg_stats`](crate::exec::Instance::reg_stats).
@@ -106,7 +99,7 @@ impl RegStats {
     }
 }
 
-/// A fusable one-operand operator (everything the flat engine expresses as
+/// A fusable one-operand operator (everything flat code expresses as
 /// a rewrite of the stack top). Variants mirror the spec's instruction
 /// names; the four reinterpret casts are identities on raw slots and never
 /// reach the register code.
@@ -928,17 +921,17 @@ struct Lowerer<'a> {
     stats: &'a mut RegStats,
 }
 
-fn slot16(idx: usize) -> Result<u16, Trap> {
-    u16::try_from(idx).map_err(|_| bad("register lowering: frame exceeds u16 slots"))
+fn slot16(idx: usize) -> Result<u16, LowerError> {
+    u16::try_from(idx).map_err(|_| LowerError::FrameOverflow)
 }
 
 impl Lowerer<'_> {
-    fn canon(&self, pos: usize) -> Result<u16, Trap> {
+    fn canon(&self, pos: usize) -> Result<u16, LowerError> {
         slot16(self.n_locals + pos)
     }
 
     /// The slot currently holding the value at stack position `pos`.
-    fn slot_of(&self, pos: usize) -> Result<u16, Trap> {
+    fn slot_of(&self, pos: usize) -> Result<u16, LowerError> {
         match self.vstack[pos] {
             Src::Canon => self.canon(pos),
             Src::Fwd(s) => Ok(s),
@@ -946,7 +939,7 @@ impl Lowerer<'_> {
     }
 
     /// Pops the top operand, returning the slot its value lives in.
-    fn pop(&mut self) -> Result<u16, Trap> {
+    fn pop(&mut self) -> Result<u16, LowerError> {
         let pos = self
             .vstack
             .len()
@@ -959,7 +952,7 @@ impl Lowerer<'_> {
     }
 
     /// Pushes a canonical operand, returning the slot to write it to.
-    fn push(&mut self) -> Result<u16, Trap> {
+    fn push(&mut self) -> Result<u16, LowerError> {
         let s = self.canon(self.vstack.len())?;
         self.vstack.push(Src::Canon);
         self.max_height = self.max_height.max(self.vstack.len());
@@ -974,7 +967,7 @@ impl Lowerer<'_> {
 
     /// Flushes every forwarded entry except the top `keep_top` to its
     /// canonical slot (branch/call edges need canonical state).
-    fn flush_below(&mut self, keep_top: usize) -> Result<(), Trap> {
+    fn flush_below(&mut self, keep_top: usize) -> Result<(), LowerError> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if let Src::Fwd(s) = self.vstack[pos] {
@@ -986,14 +979,14 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn flush_all(&mut self) -> Result<(), Trap> {
+    fn flush_all(&mut self) -> Result<(), LowerError> {
         self.flush_below(0)
     }
 
     /// Before a write to local slot `local`: any pending operand still
     /// forwarded from that local (except the top `keep_top`, which the
     /// writing op itself consumes) must be copied out first.
-    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), Trap> {
+    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), LowerError> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if self.vstack[pos] == Src::Fwd(local) {
@@ -1007,11 +1000,11 @@ impl Lowerer<'_> {
 
     /// Validates and converts a local index carried by a (possibly
     /// unvalidated) flat op.
-    fn local(&self, idx: u32) -> Result<u16, Trap> {
+    fn local(&self, idx: u32) -> Result<u16, LowerError> {
         if (idx as usize) < self.n_locals {
             slot16(idx as usize)
         } else {
-            Err(bad("register lowering: local index out of range"))
+            Err(bad("register lowering: local index out of range").into())
         }
     }
 }
@@ -1093,21 +1086,21 @@ fn check_jump_targets(code: &[RegOp]) -> Result<(), Trap> {
 ///
 /// # Errors
 ///
-/// Returns [`Trap::Instantiation`] when the function cannot be
-/// register-lowered (frame larger than the `u16` slot encoding, or an
-/// invariant violated by malformed input); the caller falls back to the
-/// stack-form engine for the whole module.
+/// Returns [`LowerError::FrameOverflow`] when the frame is larger than
+/// the `u16` slot encoding (the caller runs the instance on the tree
+/// oracle), and [`LowerError::Invalid`] when malformed input violates an
+/// invariant.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     f: &FlatFunc,
     heights: &[u32],
     module: &Module,
     stats: &mut RegStats,
-) -> Result<RegFunc, Trap> {
+) -> Result<RegFunc, LowerError> {
     let ops = &f.code;
     let n = ops.len();
     if heights.len() != n {
-        return Err(bad("register lowering: height table out of sync"));
+        return Err(bad("register lowering: height table out of sync").into());
     }
     let is_target = mark_targets(ops)?;
     let n_locals = f.n_locals as usize;
@@ -1178,7 +1171,7 @@ pub(crate) fn lower_func(
                 sync_prof!();
             }
             if lo.vstack.len() != heights[i] as usize {
-                return Err(bad("register lowering: height mismatch at jump target"));
+                return Err(bad("register lowering: height mismatch at jump target").into());
             }
         }
         old2new[i] = lo.out.len() as u32;
@@ -1231,7 +1224,7 @@ pub(crate) fn lower_func(
                 lo.flush_all()?;
                 let h = lo.vstack.len();
                 if h < *keep as usize {
-                    return Err(bad("register lowering: br keeps more than the stack"));
+                    return Err(bad("register lowering: br keeps more than the stack").into());
                 }
                 let src = slot16(n_locals + h - *keep as usize)?;
                 let dst = slot16(n_locals + *height as usize)?;
@@ -1256,7 +1249,7 @@ pub(crate) fn lower_func(
                 let cond = lo.pop()?;
                 let h = lo.vstack.len();
                 if h < *keep as usize {
-                    return Err(bad("register lowering: br_if keeps more than the stack"));
+                    return Err(bad("register lowering: br_if keeps more than the stack").into());
                 }
                 let src = slot16(n_locals + h - *keep as usize)?;
                 let dst = slot16(n_locals + *height as usize)?;
@@ -1285,7 +1278,9 @@ pub(crate) fn lower_func(
                 for e in entries.iter() {
                     let keep = e.keep as usize;
                     if h < keep {
-                        return Err(bad("register lowering: br_table keeps more than the stack"));
+                        return Err(
+                            bad("register lowering: br_table keeps more than the stack").into()
+                        );
                     }
                     reg_entries.push(RegBrEntry {
                         target: e.target,
@@ -1304,7 +1299,7 @@ pub(crate) fn lower_func(
                 lo.flush_all()?;
                 let h = lo.vstack.len();
                 if h < n_results {
-                    return Err(bad("register lowering: missing results at return"));
+                    return Err(bad("register lowering: missing results at return").into());
                 }
                 lo.out.push(RegOp::Return {
                     src: slot16(n_locals + h - n_results)?,
@@ -1316,7 +1311,7 @@ pub(crate) fn lower_func(
                 lo.flush_all()?;
                 let h = lo.vstack.len();
                 if h < n_args {
-                    return Err(bad("register lowering: missing call arguments"));
+                    return Err(bad("register lowering: missing call arguments").into());
                 }
                 let base = slot16(n_locals + h - n_args)?;
                 for _ in 0..n_args {
@@ -1340,7 +1335,7 @@ pub(crate) fn lower_func(
                 let idx = lo.pop()?;
                 let h = lo.vstack.len();
                 if h < n_args {
-                    return Err(bad("register lowering: missing call arguments"));
+                    return Err(bad("register lowering: missing call arguments").into());
                 }
                 let base = slot16(n_locals + h - n_args)?;
                 for _ in 0..n_args {
@@ -1417,7 +1412,7 @@ pub(crate) fn lower_func(
                 lo.flush_all()?;
                 let h = lo.vstack.len();
                 if h < 3 {
-                    return Err(bad("register lowering: missing bulk-memory operands"));
+                    return Err(bad("register lowering: missing bulk-memory operands").into());
                 }
                 let args = slot16(n_locals + h - 3)?;
                 for _ in 0..3 {
@@ -1635,7 +1630,7 @@ pub(crate) fn lower_func(
                     let addr = lo.pop()?;
                     lo.out.push(sel_store(kind, addr, val, offset));
                 } else {
-                    return Err(bad("register lowering: unhandled flat op"));
+                    return Err(bad("register lowering: unhandled flat op").into());
                 }
             }
         }
@@ -1650,7 +1645,7 @@ pub(crate) fn lower_func(
     debug_assert_eq!(rprof.len(), lo.out.len());
     debug_assert_eq!(pending, ProfOp::zero());
     if crate::verify::strict() && (rprof.len() != lo.out.len() || pending != ProfOp::zero()) {
-        return Err(bad("register lowering produced skewed code/prof arrays"));
+        return Err(bad("register lowering produced skewed code/prof arrays").into());
     }
 
     // Re-point every jump through the old→new map, then re-validate.
@@ -1706,8 +1701,7 @@ struct Frame<'a> {
 ///
 /// # Errors
 ///
-/// Returns exactly the traps the stack-form flat engine (and the
-/// tree-walking oracle) would.
+/// Returns exactly the traps the tree-walking oracle would.
 #[allow(clippy::too_many_arguments)] // One borrow per disjoint Instance field.
 pub(crate) fn run(
     flat: &FlatModule,
@@ -1720,7 +1714,7 @@ pub(crate) fn run(
     args: &[Value],
     profile: Option<&mut crate::profile::ExecProfile>,
 ) -> Result<Vec<Value>, Trap> {
-    let prog = flat.reg.as_ref().expect("register program prepared");
+    let prog = &flat.reg;
     if let FlatFuncDef::Import(imp) = &flat.funcs[func_idx as usize] {
         let results = host.call(&imp.module, &imp.name, memory, args)?;
         crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
@@ -2354,7 +2348,7 @@ mod tests {
         out.push(interp.invoke(&mut NoHost, name, args));
         for fuse in [true, false] {
             let mut inst =
-                Instance::instantiate_with_engine(&module, ExecMode::Aot, fuse, true, &mut NoHost)
+                Instance::instantiate_with_fusion(&module, ExecMode::Aot, fuse, &mut NoHost)
                     .unwrap();
             assert!(
                 inst.reg_stats().is_some(),
@@ -2374,7 +2368,7 @@ mod tests {
     #[test]
     fn reg_op_size_does_not_regress() {
         // The whole code array is walked on every dispatch; the ceiling is
-        // the same 24 bytes the flat engine holds (set by `BrTable`'s fat
+        // the same 24 bytes `FlatOp` holds (set by `BrTable`'s fat
         // `Box<[RegBrEntry]>`).
         assert!(std::mem::size_of::<RegOp>() <= 24);
     }
@@ -2558,25 +2552,33 @@ mod tests {
         b.export_func("f", f);
         let module = crate::load(&b.build()).unwrap();
         let inst =
-            Instance::instantiate_with_engine(&module, ExecMode::Aot, true, true, &mut NoHost)
-                .unwrap();
+            Instance::instantiate_with_fusion(&module, ExecMode::Aot, true, &mut NoHost).unwrap();
         let stats = inst.reg_stats().expect("register pass ran");
         assert!(stats.funcs > 0, "{stats:?}");
         assert!(stats.frame_slots > 0, "{stats:?}");
         assert!(stats.moves_inserted > 0, "{stats:?}");
         assert!(stats.stack_ops_eliminated > 0, "{stats:?}");
-        // And the stack-form instance reports nothing.
-        let stack_form =
-            Instance::instantiate_with_engine(&module, ExecMode::Aot, true, false, &mut NoHost)
-                .unwrap();
-        assert!(stack_form.reg_stats().is_none());
+        // And an instance without register lowering (the tree oracle)
+        // reports nothing.
+        let oracle = Instance::instantiate_with_profile(
+            &module,
+            ExecMode::Aot,
+            true,
+            false,
+            crate::profile::ProfileMode::Off,
+            &mut NoHost,
+        )
+        .unwrap();
+        assert_eq!(oracle.mode(), ExecMode::Interpreted);
+        assert!(oracle.reg_stats().is_none());
     }
 
     #[test]
-    fn unlowerable_function_falls_back_to_the_stack_engine() {
+    fn unlowerable_function_fails_instantiation() {
         // A local index past the frame skips validation but must not
-        // produce register code: the whole module falls back (reg_stats
-        // absent) instead of erroring or mis-addressing slots.
+        // produce register code: a lowering failure other than frame
+        // overflow is a loud instantiation error, never a silent switch
+        // to another engine or a mis-addressed slot.
         use crate::module::{FuncBody, Module};
         let module = Module {
             types: vec![FuncType {
@@ -2597,19 +2599,66 @@ mod tests {
             elems: vec![],
             data: vec![],
         };
-        // Verification is off: the IR verifier (correctly) rejects this
-        // deliberately un-validated module outright, which is covered by
-        // the verifier's own negative tests; here the subject is fallback.
-        let inst = Instance::instantiate_with_analysis(
+        // Verification is off: the subject is the register pass's own
+        // error, not the IR verifier's (covered by its negative tests).
+        let err = Instance::instantiate_with_analysis(
             &module,
             ExecMode::Aot,
-            true,
             true,
             true,
             false,
             &mut NoHost,
         )
-        .unwrap();
-        assert!(inst.reg_stats().is_none(), "must fall back to stack form");
+        .unwrap_err();
+        match err {
+            Trap::Instantiation(msg) => {
+                assert!(msg.contains("local index out of range"), "{msg}");
+            }
+            other => panic!("expected Instantiation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frame_overflow_falls_back_to_the_tree_oracle() {
+        // 70 000 constants summed pairwise: valid, but the operand stack
+        // peaks at 70 000 slots, past the u16 frame encoding.
+        const N: usize = 70_000;
+        let mut code = vec![I::I32Const(1); N];
+        code.extend(std::iter::repeat_n(I::I32Add, N - 1));
+        code.push(I::End);
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[], &[ValType::I32]);
+        let f = b.add_func(ty, &[], code);
+        b.export_func("sum", f);
+        let module = crate::load(&b.build()).unwrap();
+
+        let mut inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap();
+        assert_eq!(
+            inst.mode(),
+            ExecMode::Interpreted,
+            "falls back to the oracle"
+        );
+        assert!(inst.reg_stats().is_none());
+        assert_eq!(
+            inst.invoke(&mut NoHost, "sum", &[]).unwrap(),
+            vec![Value::I32(N as i32)]
+        );
+
+        // Instret parity: the fallback counts exactly what the oracle does.
+        let mut retired = Vec::new();
+        for mode in [ExecMode::Interpreted, ExecMode::Aot] {
+            let mut inst = Instance::instantiate_with_profile(
+                &module,
+                mode,
+                true,
+                true,
+                crate::profile::ProfileMode::Count,
+                &mut NoHost,
+            )
+            .unwrap();
+            inst.invoke(&mut NoHost, "sum", &[]).unwrap();
+            retired.push(inst.profile().expect("counting instance").instret);
+        }
+        assert_eq!(retired, [2 * N as u64 - 1; 2]);
     }
 }

@@ -38,8 +38,8 @@
 //! # Check-free proof obligations
 //!
 //! The bounds-check elision pass ([`crate::analysis`]) rewrites proven
-//! accesses to check-free opcodes. The verifier re-runs the same
-//! deterministic analysis over the *rewritten* body and rejects any
+//! register-form accesses to check-free opcodes. The verifier re-runs the
+//! same deterministic analysis over the *rewritten* body and rejects any
 //! check-free opcode whose in-bounds proof it cannot reproduce
 //! ([`VerifyError::UnprovenCheckFree`]) — the optimizer cannot outrun
 //! the analysis.
@@ -320,21 +320,21 @@ pub(crate) fn strict() -> bool {
 }
 
 /// The module-level facts a body is verified against.
-pub(crate) struct ModuleCtx<'a> {
+struct ModuleCtx<'a> {
     /// The function index space (imports and locals).
-    pub(crate) funcs: &'a [FlatFuncDef],
+    funcs: &'a [FlatFuncDef],
     /// The module's type section.
-    pub(crate) types: &'a [FuncType],
+    types: &'a [FuncType],
     /// Declared globals.
-    pub(crate) global_types: &'a [ValType],
+    global_types: &'a [ValType],
     /// The memory's minimum size in bytes — the floor `mem.len()` never
     /// goes below, which anchors every in-bounds proof.
-    pub(crate) min_mem: u64,
+    min_mem: u64,
 }
 
 impl ModuleCtx<'_> {
     /// `(params, results)` of a function index, `None` if out of range.
-    pub(crate) fn call_arity(&self, func: u32) -> Option<(u32, u32)> {
+    fn call_arity(&self, func: u32) -> Option<(u32, u32)> {
         Some(match self.funcs.get(func as usize)? {
             FlatFuncDef::Import(imp) => (imp.params.len() as u32, imp.n_results as u32),
             FlatFuncDef::Local(f) => (f.n_params, f.n_results),
@@ -342,7 +342,7 @@ impl ModuleCtx<'_> {
     }
 
     /// Whether a function index is an import, `None` if out of range.
-    pub(crate) fn is_import(&self, func: u32) -> Option<bool> {
+    fn is_import(&self, func: u32) -> Option<bool> {
         Some(matches!(
             self.funcs.get(func as usize)?,
             FlatFuncDef::Import(_)
@@ -350,7 +350,7 @@ impl ModuleCtx<'_> {
     }
 
     /// `(params, results)` of a type index, `None` if out of range.
-    pub(crate) fn type_arity(&self, ti: u32) -> Option<(u32, u32)> {
+    fn type_arity(&self, ti: u32) -> Option<(u32, u32)> {
         let t = self.types.get(ti as usize)?;
         Some((t.params.len() as u32, t.results.len() as u32))
     }
@@ -385,8 +385,7 @@ fn flat_effect(op: &FlatOp) -> (u32, u32) {
         | F::I64Load16S(_)
         | F::I64Load16U(_)
         | F::I64Load32S(_)
-        | F::I64Load32U(_)
-        | F::LoadNC { .. } => (1, 1),
+        | F::I64Load32U(_) => (1, 1),
         F::I32Store(_)
         | F::I64Store(_)
         | F::F32Store(_)
@@ -395,8 +394,7 @@ fn flat_effect(op: &FlatOp) -> (u32, u32) {
         | F::I32Store16(_)
         | F::I64Store8(_)
         | F::I64Store16(_)
-        | F::I64Store32(_)
-        | F::StoreNC { .. } => (2, 0),
+        | F::I64Store32(_) => (2, 0),
 
         F::MemorySize => (0, 1),
         F::MemoryGrow => (1, 1),
@@ -699,12 +697,8 @@ fn check_flat_indices(f: &FlatFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u6
 /// Worklist fixpoint over one flat body: computes the operand-stack
 /// entry height of every reachable pc (`None` = unreachable) while
 /// checking underflow, branch fix-ups, and height consistency at joins.
-///
-/// This is the verifier's height derivation *and* the reachability
-/// source the elision pass uses, so the two always agree on which ops
-/// can execute.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn flat_entry_heights(
+fn flat_entry_heights(
     f: &FlatFunc,
     ctx: &ModuleCtx<'_>,
     fidx: u32,
@@ -852,12 +846,6 @@ pub(crate) fn flat_entry_heights(
     Ok(entry)
 }
 
-/// Whether a flat opcode is a check-free memory access (an elision
-/// output carrying a proof obligation).
-fn flat_is_nc(op: &FlatOp) -> bool {
-    matches!(op, FlatOp::LoadNC { .. } | FlatOp::StoreNC { .. })
-}
-
 /// Whether a register opcode is a check-free memory access.
 fn reg_is_nc(op: &RegOp) -> bool {
     matches!(
@@ -909,11 +897,7 @@ fn bit_meet(dst: &mut [u64], src: &[u64]) -> bool {
 /// frame bases, and the definite-assignment dataflow (no read of a
 /// frame slot some path never wrote). Returns the branch-edge count.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn verify_reg_func(
-    f: &RegFunc,
-    ctx: &ModuleCtx<'_>,
-    fidx: u32,
-) -> Result<u64, VerifyError> {
+fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, VerifyError> {
     use RegOp as R;
     let n = f.code.len();
     let fs = f.frame_size;
@@ -1443,9 +1427,8 @@ pub(crate) fn verify_reg_func(
     Ok(edges)
 }
 
-/// Verifies every body of a compiled module — flat form, register form
-/// (when present), and the in-bounds proof obligation of every
-/// check-free memory opcode.
+/// Verifies every body of a compiled module — flat form, register form,
+/// and the in-bounds proof obligation of every check-free memory opcode.
 pub(crate) fn verify_module(
     flat: &FlatModule,
     types: &[FuncType],
@@ -1464,13 +1447,26 @@ pub(crate) fn verify_module(
             return Err(VerifyError::LengthMismatch { func: fidx });
         }
         stats.branch_targets += check_flat_indices(f, &ctx, fidx)?;
-        let heights = flat_entry_heights(f, &ctx, fidx)?;
+        flat_entry_heights(f, &ctx, fidx)?;
         stats.funcs += 1;
         stats.flat_ops += f.code.len() as u64;
-        if f.code.iter().any(flat_is_nc) {
-            let proofs = analysis::flat_proofs(f, &heights, &ctx);
+    }
+    let prog = &flat.reg;
+    if prog.funcs.len() != flat.funcs.len() {
+        return Err(VerifyError::LengthMismatch {
+            func: prog.funcs.len() as u32,
+        });
+    }
+    for (i, rf) in prog.funcs.iter().enumerate() {
+        let fidx = i as u32;
+        let Some(f) = rf else { continue };
+        stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
+        stats.funcs += 1;
+        stats.reg_ops += f.code.len() as u64;
+        if f.code.iter().any(reg_is_nc) {
+            let proofs = analysis::reg_proofs(f, ctx.min_mem);
             for (pc, op) in f.code.iter().enumerate() {
-                if !flat_is_nc(op) {
+                if !reg_is_nc(op) {
                     continue;
                 }
                 stats.obligations += 1;
@@ -1483,35 +1479,6 @@ pub(crate) fn verify_module(
             }
         }
     }
-    if let Some(prog) = &flat.reg {
-        if prog.funcs.len() != flat.funcs.len() {
-            return Err(VerifyError::LengthMismatch {
-                func: prog.funcs.len() as u32,
-            });
-        }
-        for (i, rf) in prog.funcs.iter().enumerate() {
-            let fidx = i as u32;
-            let Some(f) = rf else { continue };
-            stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
-            stats.funcs += 1;
-            stats.reg_ops += f.code.len() as u64;
-            if f.code.iter().any(reg_is_nc) {
-                let proofs = analysis::reg_proofs(f, ctx.min_mem);
-                for (pc, op) in f.code.iter().enumerate() {
-                    if !reg_is_nc(op) {
-                        continue;
-                    }
-                    stats.obligations += 1;
-                    if !proofs[pc].is_some_and(analysis::Proof::is_proven) {
-                        return Err(VerifyError::UnprovenCheckFree {
-                            func: fidx,
-                            pc: pc as u32,
-                        });
-                    }
-                }
-            }
-        }
-    }
     Ok(stats)
 }
 
@@ -1520,7 +1487,6 @@ mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::exec::{ExecMode, Instance, Memory, NoHost, Trap, Value};
-    use crate::flat::LoadKind;
     use crate::instr::{Instr, MemArg};
     use crate::module::ExportKind;
     use crate::profile::ProfOp;
@@ -1570,13 +1536,16 @@ mod tests {
         }
     }
 
-    fn bare_module(funcs: Vec<FlatFuncDef>, min_mem: u64) -> FlatModule {
+    fn bare_module(funcs: Vec<FlatFuncDef>, reg: Vec<Option<RegFunc>>, min_mem: u64) -> FlatModule {
         FlatModule {
             funcs,
             func_type_idx: Box::new([]),
             global_types: Box::new([]),
             fusion: crate::FusionStats::default(),
-            reg: None,
+            reg: crate::reg::RegProgram {
+                funcs: reg.into_boxed_slice(),
+                stats: crate::RegStats::default(),
+            },
             min_mem,
             analysis: crate::RangeStats::default(),
         }
@@ -1870,48 +1839,44 @@ mod tests {
         // code/prof length skew surfaces at the module level.
         let mut f = ffunc(0, 0, 0, vec![FlatOp::Return]);
         f.prof = Box::new([]);
-        let fm = bare_module(vec![FlatFuncDef::Local(f)], 65536);
+        let fm = bare_module(vec![FlatFuncDef::Local(f)], vec![None], 65536);
         assert!(matches!(
             verify_module(&fm, &[]),
             Err(VerifyError::LengthMismatch { func: 0 })
         ));
 
         // A check-free load whose in-bounds proof cannot be re-derived.
-        let f = ffunc(
-            0,
-            0,
-            1,
-            vec![
-                FlatOp::Const(8),
-                FlatOp::LoadNC {
-                    kind: LoadKind::I32,
-                    offset: 70_000,
-                },
-                FlatOp::Return,
-            ],
-        );
-        let fm = bare_module(vec![FlatFuncDef::Local(f)], 65536);
+        let load_at = |offset: u32| {
+            let flat = ffunc(
+                0,
+                0,
+                1,
+                vec![FlatOp::Const(8), FlatOp::I32Load(offset), FlatOp::Return],
+            );
+            let reg = rfunc(
+                0,
+                0,
+                1,
+                2,
+                vec![
+                    RegOp::Const { bits: 8, dst: 0 },
+                    RegOp::LoadI32N {
+                        addr: 0,
+                        offset,
+                        dst: 1,
+                    },
+                    RegOp::Return { src: 1 },
+                ],
+            );
+            bare_module(vec![FlatFuncDef::Local(flat)], vec![Some(reg)], 65536)
+        };
         assert!(matches!(
-            verify_module(&fm, &[]),
+            verify_module(&load_at(70_000), &[]),
             Err(VerifyError::UnprovenCheckFree { func: 0, pc: 1 })
         ));
 
         // The same shape with a provable constant address verifies.
-        let f = ffunc(
-            0,
-            0,
-            1,
-            vec![
-                FlatOp::Const(8),
-                FlatOp::LoadNC {
-                    kind: LoadKind::I32,
-                    offset: 0,
-                },
-                FlatOp::Return,
-            ],
-        );
-        let fm = bare_module(vec![FlatFuncDef::Local(f)], 65536);
-        let stats = verify_module(&fm, &[]).expect("interval proof re-derived");
+        let stats = verify_module(&load_at(0), &[]).expect("interval proof re-derived");
         assert_eq!(stats.obligations, 1);
     }
 
@@ -2098,12 +2063,7 @@ mod tests {
             .index
     }
 
-    fn run_engine(
-        fm: &FlatModule,
-        module: &Module,
-        use_reg: bool,
-        args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
+    fn run_engine(fm: &FlatModule, module: &Module, args: &[Value]) -> Result<Vec<Value>, Trap> {
         let lim = module.memories.first();
         let mut memory = Memory::new(lim.map_or(0, |l| l.min), lim.and_then(|l| l.max));
         let mut globals: Vec<Value> = module.globals.iter().map(|g| const_val(&g.init)).collect();
@@ -2118,31 +2078,17 @@ mod tests {
             }
         }
         let idx = export_idx(module, "kernel");
-        if use_reg {
-            crate::reg::run(
-                fm,
-                &module.types,
-                &table,
-                &mut memory,
-                &mut globals,
-                &mut NoHost,
-                idx,
-                args,
-                None,
-            )
-        } else {
-            crate::flat::run(
-                fm,
-                &module.types,
-                &table,
-                &mut memory,
-                &mut globals,
-                &mut NoHost,
-                idx,
-                args,
-                None,
-            )
-        }
+        crate::reg::run(
+            fm,
+            &module.types,
+            &table,
+            &mut memory,
+            &mut globals,
+            &mut NoHost,
+            idx,
+            args,
+            None,
+        )
     }
 
     /// Reference result from the structured tree-walking interpreter —
@@ -2159,13 +2105,9 @@ mod tests {
     #[test]
     fn corpus_elides_and_reverifies_on_both_rungs() {
         for (name, module) in [("mix", mix_module()), ("axpy", axpy_module())] {
-            let on = FlatModule::compile_full(&module, true, true, true).unwrap();
+            let on = FlatModule::compile_full(&module, true, true).unwrap();
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
             assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
-            assert!(
-                !flat_sites(&on, flat_is_nc).is_empty(),
-                "{name}: no flat check-free ops"
-            );
             assert!(
                 !reg_sites(&on, reg_is_nc).is_empty(),
                 "{name}: no register check-free ops"
@@ -2173,9 +2115,8 @@ mod tests {
             let stats = verify_module(&on, &module.types).expect("elided module verifies");
             assert!(stats.obligations >= 2, "{name}: {stats:?}");
 
-            let off = FlatModule::compile_full(&module, true, true, false).unwrap();
+            let off = FlatModule::compile_full(&module, true, false).unwrap();
             assert_eq!(off.analysis.elided, 0, "{name}");
-            assert!(flat_sites(&off, flat_is_nc).is_empty(), "{name}");
             assert!(reg_sites(&off, reg_is_nc).is_empty(), "{name}");
             verify_module(&off, &module.types).expect("unelided module verifies");
 
@@ -2183,21 +2124,12 @@ mod tests {
                 let args = [Value::I32(n)];
                 let want = oracle(&module, &args);
                 for fm in [&on, &off] {
-                    assert_eq!(
-                        run_engine(fm, &module, false, &args).unwrap(),
-                        want,
-                        "{name}"
-                    );
-                    assert_eq!(
-                        run_engine(fm, &module, true, &args).unwrap(),
-                        want,
-                        "{name}"
-                    );
+                    assert_eq!(run_engine(fm, &module, &args).unwrap(), want, "{name}");
                 }
             }
         }
         // The mix preamble is the interval case specifically.
-        let fm = FlatModule::compile_full(&mix_module(), true, true, true).unwrap();
+        let fm = FlatModule::compile_full(&mix_module(), true, true).unwrap();
         assert!(fm.analysis.proven_interval > 0, "{:?}", fm.analysis);
         assert!(fm.analysis.proven_subsumed > 0, "{:?}", fm.analysis);
     }
@@ -2237,13 +2169,11 @@ mod tests {
 
     fn reg_sites(fm: &FlatModule, pred: impl Fn(&RegOp) -> bool) -> Vec<(usize, usize)> {
         let mut v = Vec::new();
-        if let Some(prog) = &fm.reg {
-            for (fi, rf) in prog.funcs.iter().enumerate() {
-                if let Some(f) = rf {
-                    for (pc, op) in f.code.iter().enumerate() {
-                        if pred(op) {
-                            v.push((fi, pc));
-                        }
+        for (fi, rf) in fm.reg.funcs.iter().enumerate() {
+            if let Some(f) = rf {
+                for (pc, op) in f.code.iter().enumerate() {
+                    if pred(op) {
+                        v.push((fi, pc));
                     }
                 }
             }
@@ -2259,7 +2189,7 @@ mod tests {
     }
 
     fn reg_body_mut(fm: &mut FlatModule, fi: usize) -> &mut RegFunc {
-        fm.reg.as_mut().expect("register program present").funcs[fi]
+        fm.reg.funcs[fi]
             .as_mut()
             .expect("sites only name lowered functions")
     }
@@ -2376,12 +2306,11 @@ mod tests {
     /// are deliberately absent: a well-formedness verifier can accept
     /// those while the behavior silently changes, which would make the
     /// harness flaky rather than a soundness proof.
-    const OPERATORS: [(&str, bool); 13] = [
+    const OPERATORS: [(&str, bool); 12] = [
         ("flat-retarget-oob", true),
         ("flat-keep-bomb", true),
         ("flat-table-empty", true),
         ("flat-local-oob", true),
-        ("flat-nc-offset-bomb", true),
         ("flat-prof-tweak", false),
         ("reg-slot-oob", true),
         ("reg-retarget-oob", true),
@@ -2437,20 +2366,6 @@ mod tests {
                 if let Some((fi, pc)) = pick(&sites, rng) {
                     let f = flat_body_mut(fm, fi);
                     f.code[pc] = FlatOp::LocalGet(f.n_locals + 1 + rng.below(3) as u32);
-                    true
-                } else {
-                    false
-                }
-            }
-            "flat-nc-offset-bomb" => {
-                let sites = flat_sites(fm, flat_is_nc);
-                if let Some((fi, pc)) = pick(&sites, rng) {
-                    match &mut flat_body_mut(fm, fi).code[pc] {
-                        FlatOp::LoadNC { offset, .. } | FlatOp::StoreNC { offset, .. } => {
-                            *offset += 70_000;
-                        }
-                        _ => unreachable!(),
-                    }
                     true
                 } else {
                     false
@@ -2582,7 +2497,7 @@ mod tests {
 
     /// The soundness pin: every deterministic mutant of the lowered IR
     /// either fails verification, or passes *and* executes bit-equal to
-    /// the tree-walking oracle on both compiled rungs. No mutant may
+    /// the tree-walking oracle on the register engine. No mutant may
     /// pass the verifier and diverge.
     #[test]
     fn mutation_harness_no_silent_divergence() {
@@ -2593,13 +2508,13 @@ mod tests {
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for (mi, (name, module)) in corpus.iter().enumerate() {
             let oracles: Vec<Vec<Value>> = arg_set.iter().map(|a| oracle(module, a)).collect();
-            let pristine = FlatModule::compile_full(module, true, true, true).unwrap();
+            let pristine = FlatModule::compile_full(module, true, true).unwrap();
             let stats = verify_module(&pristine, &module.types).expect("pristine module verifies");
             assert!(stats.obligations > 0, "{name}: no check-free ops to attack");
 
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (mi as u64 + 1));
             for _ in 0..250 {
-                let mut fm = FlatModule::compile_full(module, true, true, true).unwrap();
+                let mut fm = FlatModule::compile_full(module, true, true).unwrap();
                 let Some((op_name, must_reject)) = apply_mutation(&mut fm, &mut rng) else {
                     continue;
                 };
@@ -2620,16 +2535,10 @@ mod tests {
                         );
                         accepted += 1;
                         for (args, want) in arg_set.iter().zip(&oracles) {
-                            let flat_out = run_engine(&fm, module, false, args)
-                                .expect("accepted mutant runs on the flat engine");
-                            let reg_out = run_engine(&fm, module, true, args)
+                            let out = run_engine(&fm, module, args)
                                 .expect("accepted mutant runs on the register engine");
                             assert_eq!(
-                                &flat_out, want,
-                                "{name}: {op_name} diverges on the flat engine"
-                            );
-                            assert_eq!(
-                                &reg_out, want,
+                                &out, want,
                                 "{name}: {op_name} diverges on the register engine"
                             );
                         }

@@ -1,11 +1,10 @@
 //! Differential testing of the execution-engine ladder: for every
 //! PolyBench kernel in the suite — and for two corpora of randomized
 //! MiniC kernels — the tree-walking interpreter (`ExecMode::Interpreted`,
-//! the oracle), the unfused flat engine, the fused flat engine and the
-//! register engine must agree bit-for-bit, and traps must be reported
-//! identically in every engine. `WATZ_NO_FUSE=1` / `WATZ_NO_REG=1` pin
-//! the earlier rungs via the same `instantiate` path (CI runs those
-//! combinations too).
+//! the oracle) and the register engine over unfused and fused code must
+//! agree bit-for-bit, and traps must be reported identically in every
+//! engine. `WATZ_NO_FUSE=1` pins the unfused rung via the same
+//! `instantiate` path (CI runs that combination too).
 
 use watz::runtime::{AppConfig, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Instance, NoHost, Value};
@@ -13,19 +12,16 @@ use watz::wasm::ProfileMode;
 
 const N: i32 = 12;
 
-/// The engine ladder as `(label, fuse, reg)` triples for the flat engine.
-const LADDER: [(&str, bool, bool); 3] = [
-    ("flat", false, false),
-    ("fused", true, false),
-    ("register", true, true),
-];
+/// The compiled rungs as `(label, fuse)` pairs: the register engine over
+/// unfused and fused flat code.
+const LADDER: [(&str, bool); 2] = [("unfused+register", false), ("fused+register", true)];
 
-/// Runs an export on the oracle plus the whole flat-engine ladder,
-/// returning `(label, outcome)` pairs (trap text on failure, so both
-/// results and traps participate in the parity assertion).
+/// Runs an export on the oracle plus every compiled rung, returning
+/// `(label, outcome)` pairs (trap text on failure, so both results and
+/// traps participate in the parity assertion).
 ///
 /// Every rung also re-runs with profiling on ([`ProfileMode::Count`]),
-/// asserting the retired-guest-instruction invariant: all four rungs must
+/// asserting the retired-guest-instruction invariant: all rungs must
 /// retire the same instret for the same input — including on traps, where
 /// the count runs up to and including the trapping instruction.
 fn run_ladder(
@@ -60,14 +56,12 @@ fn run_ladder(
         assert_eq!(p.traps, u64::from(profiled.is_err()), "oracle trap count");
         instret.push(("oracle", p.instret));
     }
-    for (label, fuse, reg) in LADDER {
+    for (label, fuse) in LADDER {
         let mut inst =
-            Instance::instantiate_with_engine(module, ExecMode::Aot, fuse, reg, &mut NoHost)
-                .unwrap();
-        assert_eq!(
+            Instance::instantiate_with_fusion(module, ExecMode::Aot, fuse, &mut NoHost).unwrap();
+        assert!(
             inst.reg_stats().is_some(),
-            reg,
-            "{label}: register pass availability mismatch"
+            "{label}: register pass fell back"
         );
         let outcome = inst
             .invoke(&mut NoHost, name, args)
@@ -76,7 +70,7 @@ fn run_ladder(
             module,
             ExecMode::Aot,
             fuse,
-            reg,
+            true,
             ProfileMode::Count,
             &mut NoHost,
         )
@@ -100,7 +94,6 @@ fn run_ladder(
         let mut inst = Instance::instantiate_with_analysis(
             module,
             ExecMode::Aot,
-            true,
             true,
             elide,
             true,
@@ -160,26 +153,25 @@ fn all_polybench_kernels_agree_across_engines() {
 fn default_engine_follows_env_switches() {
     // The explicit-matrix tests above pin every engine combination
     // regardless of the environment; this test is what the CI
-    // `WATZ_NO_FUSE=1` / `WATZ_NO_REG=1` bisection steps actually gate —
-    // the *default* `Instance::instantiate` path must honour the
-    // switches, or bisecting with them silently tests the wrong engine.
+    // `WATZ_NO_FUSE=1` bisection step actually gates — the *default*
+    // `Instance::instantiate` path must honour the switch, or bisecting
+    // with it silently tests the wrong engine.
     let no_fuse =
         std::env::var_os("WATZ_NO_FUSE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
-    let no_reg =
-        std::env::var_os("WATZ_NO_REG").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
     let wasm = watz::compiler::compile("int twice(int a) { return a + a; }").unwrap();
     let module = watz::wasm::load(&wasm).unwrap();
     let mut inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap();
-    let fused = inst.fusion_stats().expect("flat instance reports stats");
+    let fused = inst
+        .fusion_stats()
+        .expect("compiled instance reports stats");
     assert_eq!(
         fused.total() == 0,
         no_fuse,
         "default fusion state must follow WATZ_NO_FUSE"
     );
-    assert_eq!(
-        inst.reg_stats().is_none(),
-        no_reg,
-        "default register state must follow WATZ_NO_REG"
+    assert!(
+        inst.reg_stats().is_some(),
+        "the default Aot instance must run register code"
     );
     assert_eq!(
         inst.invoke(&mut NoHost, "twice", &[Value::I32(21)])
@@ -229,8 +221,8 @@ fn trap_parity_across_exec_modes() {
 // emits MiniC programs (arithmetic, bitwise ops, shifts, comparisons,
 // if/else, bounded loops, including trap-prone division/remainder), each
 // compiled once and executed in both modes. The tree interpreter is the
-// oracle: the flat engine must produce identical results AND identical
-// traps for every program.
+// oracle: the register engine must produce identical results AND
+// identical traps for every program.
 // ---------------------------------------------------------------------------
 
 struct XorShift(u64);
@@ -327,9 +319,9 @@ fn gen_kernel(rng: &mut XorShift) -> String {
 // Fusable-shape corpus: generators biased toward the exact adjacent-op
 // windows the superinstruction fusion pass rewrites — tight local
 // arithmetic loops, 1-D and 2-D array load/compute/store kernels, pointer
-// derefs and truthy while-loops. Every program runs on the oracle, the
-// fused flat engine and the unfused flat engine (results + traps must be
-// identical), and the aggregated `FusionStats` must show every fused
+// derefs and truthy while-loops. Every program runs on the oracle and on
+// the register engine over fused and unfused code (results + traps must
+// be identical), and the aggregated `FusionStats` must show every fused
 // opcode kind emitted at least once across the corpus.
 // ---------------------------------------------------------------------------
 
@@ -415,35 +407,21 @@ fn fusable_corpus_covers_every_superinstruction_with_parity() {
                 .invoke(&mut NoHost, "kernel", &args)
                 .map_err(|e| e.to_string()),
         ));
-        // The full fused/unfused × register/stack matrix, with the
-        // aggregated pass counters collected from the primary engines.
-        for (label, fuse, reg) in [
-            ("fused+register", true, true),
-            ("fused", true, false),
-            ("unfused+register", false, true),
-            ("unfused", false, false),
-        ] {
+        // Fused and unfused register code, with the aggregated pass
+        // counters collected from the fused instance.
+        for (label, fuse) in LADDER {
             let mut inst =
-                Instance::instantiate_with_engine(&module, ExecMode::Aot, fuse, reg, &mut NoHost)
+                Instance::instantiate_with_fusion(&module, ExecMode::Aot, fuse, &mut NoHost)
                     .unwrap();
-            let stats = inst.fusion_stats().expect("flat instance reports stats");
+            let stats = inst
+                .fusion_stats()
+                .expect("compiled instance reports stats");
+            let rstats = inst.reg_stats().expect("register instance reports stats");
             if fuse {
-                if reg {
-                    total.merge(&stats);
-                }
+                total.merge(&stats);
+                reg_total.merge(&rstats);
             } else {
                 assert_eq!(stats.total(), 0, "case {case}: unfused instance fused");
-            }
-            if reg {
-                let rstats = inst.reg_stats().expect("register instance reports stats");
-                if fuse {
-                    reg_total.merge(&rstats);
-                }
-            } else {
-                assert!(
-                    inst.reg_stats().is_none(),
-                    "case {case}: stack-form instance reports register stats"
-                );
             }
             outcomes.push((
                 label,
@@ -451,22 +429,20 @@ fn fusable_corpus_covers_every_superinstruction_with_parity() {
                     .map_err(|e| e.to_string()),
             ));
         }
-        // The same matrix with profiling on: every rung must retire the
+        // The same rungs with profiling on: every rung must retire the
         // same guest-instruction count (traps included — the corpus'
         // division statements trap on some random inputs).
         let mut retired: Vec<(&str, u64)> = Vec::new();
-        for (label, mode, fuse, reg) in [
-            ("oracle", ExecMode::Interpreted, true, true),
-            ("fused+register", ExecMode::Aot, true, true),
-            ("fused", ExecMode::Aot, true, false),
-            ("unfused+register", ExecMode::Aot, false, true),
-            ("unfused", ExecMode::Aot, false, false),
+        for (label, mode, fuse) in [
+            ("oracle", ExecMode::Interpreted, true),
+            ("fused+register", ExecMode::Aot, true),
+            ("unfused+register", ExecMode::Aot, false),
         ] {
             let mut inst = Instance::instantiate_with_profile(
                 &module,
                 mode,
                 fuse,
-                reg,
+                true,
                 ProfileMode::Count,
                 &mut NoHost,
             )
@@ -520,9 +496,9 @@ fn trap_edges_agree_across_engines() {
     // MiniC-level pins for the edge semantics fusion or register
     // allocation could silently break: signed division overflow,
     // division/remainder by zero, and the INT_MIN % -1 == 0 non-trap,
-    // each driven through compiled guests across the oracle and the whole
-    // flat-engine ladder (these windows fuse into superinstructions and
-    // then gain register operands).
+    // each driven through compiled guests across the oracle and every
+    // compiled rung (these windows fuse into superinstructions and then
+    // gain register operands).
     let rt = WatzRuntime::new_device(b"trap-edges").unwrap();
     let sources = [
         ("div", "int div(int a, int b) { return a / b; }"),
@@ -573,7 +549,7 @@ fn randomized_minic_kernels_agree_across_engines() {
         let arg_a = rng.next() as i32;
         let arg_b = rng.next() as i32;
         // Results on success, trap text on failure: both must match
-        // across the oracle and the whole flat-engine ladder.
+        // across the oracle and every compiled rung.
         let outcomes = run_ladder(&module, "kernel", &[Value::I32(arg_a), Value::I32(arg_b)]);
         if outcomes[0].1.is_err() {
             traps += 1;

@@ -4,8 +4,8 @@
 //! covers:
 //!
 //! 1. **No `.unwrap()` / `.expect(` in the hot dispatch loops** — the
-//!    tree interpreter's `exec_body`, and `run_loop` in the flat and
-//!    register engines. A panic there is a guest-reachable crash of the
+//!    tree interpreter's `exec_body`, and the register engine's
+//!    `run_loop`. A panic there is a guest-reachable crash of the
 //!    whole runtime, so every use must be individually justified in the
 //!    allowlist (`xtask/lint-allow.txt`).
 //! 2. **No narrowing `as` casts in the wire-format parsers** — the
@@ -38,9 +38,8 @@ fn main() -> ExitCode {
 }
 
 /// The dispatch-loop scan targets: `(file, function name)`.
-const DISPATCH_LOOPS: [(&str, &str); 3] = [
+const DISPATCH_LOOPS: [(&str, &str); 2] = [
     ("crates/watz-wasm/src/exec.rs", "fn exec_body"),
-    ("crates/watz-wasm/src/flat.rs", "fn run_loop"),
     ("crates/watz-wasm/src/reg.rs", "fn run_loop"),
 ];
 
