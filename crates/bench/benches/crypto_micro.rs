@@ -54,16 +54,23 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| EphemeralKeyPair::generate(std::hint::black_box(&mut rng)));
     });
 
-    // Generator scalar multiplication, both paths: the precomputed
-    // fixed-base table (used by keygen/sign/ECDHE) against the generic
-    // double-and-add it replaced.
+    // Scalar multiplication, both paths: the precomputed fixed-base table
+    // (keygen, signing, ECDHE public keys) and the 4-bit-window
+    // variable-base routine (ECDH shared secret, u2·Q in verify).
     let k = U256::from_hex("bce6faada7179e84f3b9cac2fc632551ffffffff00000000ffffffffffffffff");
     g.bench_function("p256_mul_g_fixed_base", |b| {
         b.iter(|| AffinePoint::mul_base(std::hint::black_box(&k)));
     });
-    g.bench_function("p256_mul_g_double_and_add", |b| {
-        let g_point = AffinePoint::generator();
-        b.iter(|| g_point.mul_scalar(std::hint::black_box(&k)));
+    g.bench_function("p256_mul_var", |b| {
+        let q = AffinePoint::mul_base(&U256::from_hex("c0ffee"));
+        b.iter(|| q.mul_scalar(std::hint::black_box(&k)));
+    });
+
+    g.bench_function("ecdh_shared", |b| {
+        let mut rng = Fortuna::from_seed(b"bench");
+        let local = EphemeralKeyPair::generate(&mut rng);
+        let peer = EphemeralKeyPair::generate(&mut rng).public_bytes();
+        b.iter(|| local.diffie_hellman(std::hint::black_box(&peer)));
     });
 
     g.finish();

@@ -211,7 +211,7 @@ fn main() {
     assert_eq!(
         AffinePoint::mul_base(&k),
         AffinePoint::generator().mul_scalar(&k),
-        "fixed-base table disagrees with double-and-add"
+        "fixed-base table disagrees with the variable-base window"
     );
     let t_fixed = median(5, || {
         std::hint::black_box(AffinePoint::mul_base(&k));
@@ -242,7 +242,7 @@ fn main() {
     );
 
     // Gates: a generous margin below the measured time ratios (~10x
-    // register vs tree, ~4x fixed-base) so CI noise does not flake, but a
+    // register vs tree, ~3.9x fixed-base) so CI noise does not flake, but a
     // real regression (the register engine falling back to the tree
     // oracle, the table losing mixed addition) trips them. Engine-gate
     // failures dump per-rung execution profiles first (instret, dispatch
@@ -290,7 +290,7 @@ fn main() {
     );
     assert!(
         p256_speedup > 1.8,
-        "fixed-base table no longer clearly beats double-and-add ({p256_speedup:.2}x)"
+        "fixed-base table no longer clearly beats the variable-base window ({p256_speedup:.2}x)"
     );
 
     // --- Static analysis: the verifier must pass the optimised code and

@@ -25,16 +25,26 @@ impl EphemeralKeyPair {
     /// Generates a fresh key pair from the PRNG.
     #[must_use]
     pub fn generate(rng: &mut Fortuna) -> Self {
-        let n = curve::n();
         loop {
             let mut buf = [0u8; 32];
             rng.fill_bytes(&mut buf);
-            let secret = U256::from_be_bytes(&buf);
-            if !secret.is_zero() && secret.lt(&n) {
-                let public = AffinePoint::mul_base(&secret);
-                return EphemeralKeyPair { secret, public };
+            if let Ok(pair) = Self::from_scalar(U256::from_be_bytes(&buf)) {
+                return pair;
             }
         }
+    }
+
+    /// Builds a key pair from a raw secret scalar.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidScalar`] if `secret` is zero or ≥ n.
+    pub fn from_scalar(secret: U256) -> Result<Self> {
+        if secret.is_zero() || !secret.lt(&curve::N) {
+            return Err(CryptoError::InvalidScalar);
+        }
+        let public = AffinePoint::mul_base(&secret);
+        Ok(EphemeralKeyPair { secret, public })
     }
 
     /// The public half, encoded as 64 bytes (`x || y`).

@@ -5,7 +5,7 @@
 //! the session handshake (`msg1`) with its identity key.
 
 use crate::fortuna::Fortuna;
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::p256::{self, curve, AffinePoint, U256};
 use crate::{CryptoError, Result};
 
@@ -40,7 +40,7 @@ impl Signature {
         sb.copy_from_slice(&bytes[32..]);
         let r = U256::from_be_bytes(&rb);
         let s = U256::from_be_bytes(&sb);
-        let n = curve::n();
+        let n = curve::N;
         if r.is_zero() || s.is_zero() || !r.lt(&n) || !s.lt(&n) {
             return Err(CryptoError::InvalidScalar);
         }
@@ -69,13 +69,11 @@ impl SigningKey {
     /// and you get the same attestation key.
     #[must_use]
     pub fn generate(rng: &mut Fortuna) -> Self {
-        let n = curve::n();
         loop {
             let mut buf = [0u8; 32];
             rng.fill_bytes(&mut buf);
-            let d = U256::from_be_bytes(&buf);
-            if !d.is_zero() && d.lt(&n) {
-                return Self::from_scalar(d).expect("scalar validated");
+            if let Ok(key) = Self::from_bytes(&buf) {
+                return key;
             }
         }
     }
@@ -86,8 +84,7 @@ impl SigningKey {
     ///
     /// Returns [`CryptoError::InvalidScalar`] if `d` is zero or ≥ n.
     pub fn from_scalar(d: U256) -> Result<Self> {
-        let n = curve::n();
-        if d.is_zero() || !d.lt(&n) {
+        if d.is_zero() || !d.lt(&curve::N) {
             return Err(CryptoError::InvalidScalar);
         }
         let q = AffinePoint::mul_base(&d);
@@ -125,7 +122,7 @@ impl SigningKey {
     /// Signs a 32-byte digest with a fully deterministic RFC 6979 nonce.
     #[must_use]
     pub fn sign_deterministic(&self, digest: &[u8; 32]) -> Signature {
-        let fn_ = curve::fn_();
+        let fn_ = &curve::FN;
         let z = fn_.reduce(U256::from_be_bytes(digest));
         let mut nonce_gen = Rfc6979::new(&self.d.to_be_bytes(), digest);
         loop {
@@ -138,10 +135,11 @@ impl SigningKey {
             if r.is_zero() {
                 continue;
             }
-            // s = k^-1 (z + r d) mod n
-            let rd = fn_.mul(&r, &self.d);
+            // s = k^-1 (z + r d) mod n. A Montgomery product with one
+            // Montgomery-form factor (r·R, k^-1·R) yields a plain result.
+            let rd = fn_.mul(&fn_.to_mont(&r), &self.d);
             let sum = fn_.add(&z, &rd);
-            let s = fn_.mul(&fn_.inv(&k), &sum);
+            let s = fn_.mul(&fn_.inv(&fn_.to_mont(&k)), &sum);
             if s.is_zero() {
                 continue;
             }
@@ -193,15 +191,16 @@ impl VerifyingKey {
     /// Verifies a signature over a 32-byte digest.
     #[must_use]
     pub fn verify(&self, digest: &[u8; 32], sig: &Signature) -> bool {
-        let n = curve::n();
+        let n = curve::N;
         if sig.r.is_zero() || sig.s.is_zero() || !sig.r.lt(&n) || !sig.s.lt(&n) {
             return false;
         }
-        let fn_ = curve::fn_();
+        let fn_ = &curve::FN;
         let z = fn_.reduce(U256::from_be_bytes(digest));
-        let w = fn_.inv(&sig.s);
-        let u1 = fn_.mul(&z, &w);
-        let u2 = fn_.mul(&sig.r, &w);
+        // w = s^-1·R (Montgomery form), so w·z and w·r come out plain.
+        let w = fn_.inv(&fn_.to_mont(&sig.s));
+        let u1 = fn_.mul(&w, &z);
+        let u2 = fn_.mul(&w, &sig.r);
         let point = p256::mul_base_jacobian(&u1)
             .add(&self.point.to_jacobian().mul_scalar(&u2))
             .to_affine();
@@ -218,55 +217,45 @@ struct Rfc6979 {
     v: [u8; 32],
 }
 
+/// `HMAC(key, parts[0] || parts[1] || …)`, without assembling the message.
+fn hmac_concat(key: &[u8; 32], parts: &[&[u8]]) -> [u8; 32] {
+    let mut mac = HmacSha256::new(key);
+    for part in parts {
+        mac.update(part);
+    }
+    mac.finalize()
+}
+
 impl Rfc6979 {
     fn new(private_key: &[u8; 32], digest: &[u8; 32]) -> Self {
-        let fn_ = curve::fn_();
         // bits2octets: digest reduced mod n, re-encoded.
-        let h_reduced = fn_.reduce(U256::from_be_bytes(digest)).to_be_bytes();
+        let h_reduced = curve::FN.reduce(U256::from_be_bytes(digest)).to_be_bytes();
 
         let mut k = [0u8; 32];
         let mut v = [1u8; 32];
 
         // K = HMAC(K, V || 0x00 || x || h)
-        let mut msg = Vec::with_capacity(97);
-        msg.extend_from_slice(&v);
-        msg.push(0x00);
-        msg.extend_from_slice(private_key);
-        msg.extend_from_slice(&h_reduced);
-        k = hmac_sha256(&k, &msg);
+        k = hmac_concat(&k, &[&v, &[0x00], private_key, &h_reduced]);
         v = hmac_sha256(&k, &v);
 
         // K = HMAC(K, V || 0x01 || x || h)
-        let mut msg = Vec::with_capacity(97);
-        msg.extend_from_slice(&v);
-        msg.push(0x01);
-        msg.extend_from_slice(private_key);
-        msg.extend_from_slice(&h_reduced);
-        k = hmac_sha256(&k, &msg);
+        k = hmac_concat(&k, &[&v, &[0x01], private_key, &h_reduced]);
         v = hmac_sha256(&k, &v);
 
         Rfc6979 { k, v }
     }
 
     fn next_nonce(&mut self) -> U256 {
-        let n = curve::n();
         loop {
             self.v = hmac_sha256(&self.k, &self.v);
             let candidate = U256::from_be_bytes(&self.v);
-            if !candidate.is_zero() && candidate.lt(&n) {
-                // Prepare for a possible retry by the caller.
-                let mut msg = Vec::with_capacity(33);
-                msg.extend_from_slice(&self.v);
-                msg.push(0x00);
-                self.k = hmac_sha256(&self.k, &msg);
-                self.v = hmac_sha256(&self.k, &self.v);
+            // K = HMAC(K, V || 0x00), V = HMAC(K, V): rejects a candidate
+            // and prepares for a possible retry by the caller alike.
+            self.k = hmac_concat(&self.k, &[&self.v, &[0x00]]);
+            self.v = hmac_sha256(&self.k, &self.v);
+            if !candidate.is_zero() && candidate.lt(&curve::N) {
                 return candidate;
             }
-            let mut msg = Vec::with_capacity(33);
-            msg.extend_from_slice(&self.v);
-            msg.push(0x00);
-            self.k = hmac_sha256(&self.k, &msg);
-            self.v = hmac_sha256(&self.k, &self.v);
         }
     }
 }
@@ -366,7 +355,7 @@ mod tests {
 
     #[test]
     fn order_scalar_rejected() {
-        assert!(SigningKey::from_scalar(curve::n()).is_err());
+        assert!(SigningKey::from_scalar(curve::N).is_err());
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //!   trust (the MKVB), so the attestation key pair can be re-derived at every
 //!   boot.
 //!
-//! This crate reimplements the whole suite from scratch in safe Rust. It is
-//! written for clarity and auditability, not speed: the paper's absolute
-//! numbers come from a Cortex-A53 anyway, and EXPERIMENTS.md tracks the
-//! shape, not the milliseconds.
+//! This crate reimplements the whole suite from scratch in safe Rust,
+//! written for clarity first: the paper's absolute numbers come from a
+//! Cortex-A53 anyway, and EXPERIMENTS.md tracks the shape, not the
+//! milliseconds. P-256 is the exception, because it bounds how many
+//! attestation sessions a verifier serves: [`p256`] keeps values in
+//! Montgomery form and runs constant-time windowed scalar multiplication,
+//! checked against the simpler arithmetic it replaced.
 //!
 //! # Example
 //!

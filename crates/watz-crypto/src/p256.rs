@@ -1,15 +1,41 @@
-//! NIST P-256 (secp256r1) arithmetic: 256-bit integers, prime-field ops,
-//! and Jacobian-coordinate group operations.
+//! NIST P-256 (secp256r1) arithmetic: 256-bit integers, Montgomery-form
+//! modular arithmetic, and Jacobian-coordinate group operations.
 //!
 //! The paper selects secp256r1 "as recommended by the NIST" for both the
 //! attestation key pair (ECDSA) and the session keys (ECDHE). This module is
 //! the shared arithmetic core for [`crate::ecdsa`] and [`crate::ecdh`].
 //!
-//! The implementation favours auditability over speed: modular reduction is
-//! a generic 2^256-fold (`x = hi·2^256 + lo ≡ hi·(2^256 mod m) + lo`), which
-//! works for any modulus in `(2^255, 2^256)` and is validated by group-law
-//! and curve-equation tests rather than trusting transcribed magic-number
-//! reduction schedules.
+//! **Field arithmetic.** One [`Modulus`] type serves both the field prime
+//! `p` and the group order `n`: a 4×64-bit CIOS Montgomery multiplication
+//! with a dedicated squaring (Gueron & Krasnov, "Fast prime field
+//! elliptic-curve cryptography with 256-bit primes", 2015). Values on the
+//! hot path stay in Montgomery form `a·R mod m` (`R = 2^256`); they are
+//! converted once on the way in and once on the way out. Inversion is
+//! Fermat's `a^(m-2)` evaluated by a fixed 4-bit window over the public
+//! exponent, so its sequence of operations depends only on `m`. All
+//! Montgomery constants are computed at compile time from `m`.
+//!
+//! **Scalar multiplication.** The generator uses a table of 960 affine
+//! points (`d·16^w·G`, 64 windows × 15 digits, in Montgomery form), so
+//! `k·G` is 64 mixed additions. Any other point uses one fixed 4-bit
+//! window routine ([`JacobianPoint::mul_scalar`]) with a 16-entry table on
+//! the stack: 4 doublings and one addition per digit. It serves both the
+//! ECDH shared secret and the `u2·Q` half of ECDSA verification.
+//!
+//! **Constant time.** Both scalar multiplications reduce the scalar mod `n`
+//! and then run the same operations for every scalar: every digit, zero or
+//! not, costs one addition; each table lookup reads every entry of its
+//! window and keeps the wanted one with a mask; infinity operands are
+//! resolved by masked selection. The one branch in point addition (the
+//! doubling case `P == Q`) cannot be reached from a reduced scalar's digit
+//! sums, so it is never taken on a secret-scalar path. A test-only trace of
+//! field operations and table reads checks this for scalars of different
+//! Hamming weight and length. Validation of public inputs (point decoding,
+//! signature ranges) may branch.
+//!
+//! **Oracle.** The fold-reduction arithmetic, Fermat inversion and
+//! double-and-add that this module used before Montgomery form live on in
+//! the unit tests (`tests::oracle`) as an independent differential oracle.
 
 /// A 256-bit unsigned integer, four little-endian `u64` limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +73,7 @@ impl U256 {
     ///
     /// # Panics
     ///
-    /// Panics on invalid hex; intended for compile-time constants and tests.
+    /// Panics on invalid hex; intended for tests and benchmarks.
     #[must_use]
     pub fn from_hex(s: &str) -> Self {
         assert!(s.len() <= 64, "hex too long");
@@ -101,28 +127,32 @@ impl U256 {
 
     /// Wrapping addition; returns (sum, carry).
     #[must_use]
-    pub fn adc(&self, other: &U256) -> (U256, bool) {
+    pub const fn adc(&self, other: &U256) -> (U256, bool) {
+        // Carries ride in a u128 rather than a bool pair: the compiler
+        // turns this into an add-with-carry chain.
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for (i, o) in out.iter_mut().enumerate() {
-            let (s1, c1) = self.0[i].overflowing_add(other.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            *o = s2;
-            carry = u64::from(c1) + u64::from(c2);
+        let mut carry = 0u128;
+        let mut i = 0;
+        while i < 4 {
+            let t = self.0[i] as u128 + other.0[i] as u128 + carry;
+            out[i] = t as u64;
+            carry = t >> 64;
+            i += 1;
         }
         (U256(out), carry != 0)
     }
 
     /// Wrapping subtraction; returns (difference, borrow).
     #[must_use]
-    pub fn sbb(&self, other: &U256) -> (U256, bool) {
+    pub const fn sbb(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
-        for (i, o) in out.iter_mut().enumerate() {
-            let (d1, b1) = self.0[i].overflowing_sub(other.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *o = d2;
-            borrow = u64::from(b1) + u64::from(b2);
+        let mut borrow = 0u128;
+        let mut i = 0;
+        while i < 4 {
+            let t = (self.0[i] as u128).wrapping_sub(other.0[i] as u128 + borrow);
+            out[i] = t as u64;
+            borrow = t >> 127;
+            i += 1;
         }
         (U256(out), borrow != 0)
     }
@@ -148,162 +178,331 @@ impl U256 {
     }
 }
 
-/// Modular arithmetic context for a modulus `m` with `2^255 < m < 2^256`.
+/// All-ones if `a == b`, else zero, without a data-dependent branch.
+const fn ct_eq_mask(a: u64, b: u64) -> u64 {
+    let v = a ^ b;
+    ((v | v.wrapping_neg()) >> 63).wrapping_sub(1)
+}
+
+/// All-ones if `x == 0`, else zero, without a data-dependent branch.
+const fn ct_is_zero(x: &U256) -> u64 {
+    ct_eq_mask(x.0[0] | x.0[1] | x.0[2] | x.0[3], 0)
+}
+
+/// `a` where `mask` is all-ones, `b` where it is zero.
+const fn ct_select(mask: u64, a: &U256, b: &U256) -> U256 {
+    let mut out = [0u64; 4];
+    let mut i = 0;
+    while i < 4 {
+        out[i] = (a.0[i] & mask) | (b.0[i] & !mask);
+        i += 1;
+    }
+    U256(out)
+}
+
+/// Hex digit `w` (0 = least significant) of `k`.
+fn nibble(k: &U256, w: usize) -> u64 {
+    (k.0[w / 16] >> ((w % 16) * 4)) & 0xf
+}
+
+/// What the constant-time gate records: every multiplicative and additive
+/// field operation, and the index of every entry read from a table that a
+/// secret digit selects from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Mul,
+    Sqr,
+    Add,
+    Sub,
+    Read(u8),
+}
+
+/// Records `op` in the test-only trace; compiles to nothing otherwise.
+#[inline(always)]
+fn trace(op: Op) {
+    #[cfg(test)]
+    tests::ct_trace::record(op);
+    #[cfg(not(test))]
+    let _ = op;
+}
+
+/// Montgomery arithmetic modulo an odd `m` with `2^255 < m < 2^256`.
+///
+/// [`Modulus::mul`], [`Modulus::sqr`] and [`Modulus::inv`] act on Montgomery
+/// representatives: `mul(a·R, b·R) = a·b·R`. A product of one Montgomery
+/// and one plain operand is therefore plain (`mul(a·R, b) = a·b`), which is
+/// how ECDSA's few scalar products avoid conversions. Addition,
+/// subtraction and negation work in either form. No operation branches on
+/// its operands.
 #[derive(Debug, Clone, Copy)]
 pub struct Modulus {
     /// The modulus itself.
     pub m: U256,
-    /// `2^256 mod m`, used for the fold-based reduction.
-    pub r: U256,
+    /// `-m⁻¹ mod 2^64`, the per-limb reduction factor.
+    m_inv: u64,
+    /// `R mod m`: one in Montgomery form.
+    one: U256,
+    /// `R² mod m`, which [`Modulus::to_mont`] multiplies by.
+    r2: U256,
 }
 
 impl Modulus {
-    /// Creates a context; computes `r = 2^256 - m` (valid because `m > 2^255`).
+    /// Creates a context, computing the Montgomery constants from `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time for the curve constants) unless `m` is odd
+    /// and `2^255 < m`.
     #[must_use]
-    pub fn new(m: U256) -> Self {
-        // 2^256 - m == wrapping negation of m.
-        let (r, _) = U256::ZERO.sbb(&m);
-        Modulus { m, r }
+    pub const fn new(m: U256) -> Self {
+        assert!(
+            m.0[0] & 1 == 1 && m.0[3] >> 63 == 1,
+            "modulus must be odd and above 2^255"
+        );
+        // Newton's iteration doubles the correct low bits of m⁻¹ mod 2^64
+        // each round: 1 → 2 → 4 → … → 64.
+        let mut inv = 1u64;
+        let mut i = 0;
+        while i < 6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.0[0].wrapping_mul(inv)));
+            i += 1;
+        }
+        // R mod m = 2^256 - m, the wrapping negation (m > 2^255).
+        let one = U256::ZERO.sbb(&m).0;
+        // R² mod m: double R mod m another 256 times.
+        let mut r2 = one;
+        let mut i = 0;
+        while i < 256 {
+            r2 = add_mod(&r2, &r2, &m);
+            i += 1;
+        }
+        Modulus {
+            m,
+            m_inv: inv.wrapping_neg(),
+            one,
+            r2,
+        }
     }
 
-    /// Reduces a value already known to be `< 2^256` into `[0, m)`.
+    /// Reduces any 256-bit value into `[0, m)`.
     #[must_use]
-    pub fn reduce(&self, mut x: U256) -> U256 {
-        while !x.lt(&self.m) {
-            let (d, _) = x.sbb(&self.m);
-            x = d;
-        }
-        x
+    pub fn reduce(&self, x: U256) -> U256 {
+        self.sub_if_ge(x, 0)
+    }
+
+    /// `hi·2^256 + lo` minus `m` if it is at least `m`; the value must be
+    /// below `2m` (so `hi` is 0 or 1).
+    fn sub_if_ge(&self, lo: U256, hi: u64) -> U256 {
+        let (d, borrow) = lo.sbb(&self.m);
+        // Keep `lo` only when the subtraction borrowed past a zero top word.
+        let keep = (u64::from(borrow) & !hi & 1).wrapping_neg();
+        ct_select(keep, &lo, &d)
     }
 
     /// `(a + b) mod m`, inputs must be `< m`.
     #[must_use]
     pub fn add(&self, a: &U256, b: &U256) -> U256 {
-        let (sum, carry) = a.adc(b);
-        if carry || !sum.lt(&self.m) {
-            let (d, _) = sum.sbb(&self.m);
-            d
-        } else {
-            sum
-        }
+        trace(Op::Add);
+        add_mod(a, b, &self.m)
     }
 
     /// `(a - b) mod m`, inputs must be `< m`.
     #[must_use]
     pub fn sub(&self, a: &U256, b: &U256) -> U256 {
+        trace(Op::Sub);
         let (diff, borrow) = a.sbb(b);
-        if borrow {
-            let (d, _) = diff.adc(&self.m);
-            d
-        } else {
-            diff
-        }
-    }
-
-    /// `(a * b) mod m`.
-    #[must_use]
-    pub fn mul(&self, a: &U256, b: &U256) -> U256 {
-        let (lo, hi) = a.widening_mul(b);
-        self.reduce_wide(lo, hi)
-    }
-
-    /// `a² mod m`.
-    #[must_use]
-    pub fn sqr(&self, a: &U256) -> U256 {
-        self.mul(a, a)
-    }
-
-    /// Reduces a 512-bit value `hi·2^256 + lo` modulo `m` by repeated folding:
-    /// `hi·2^256 + lo ≡ hi·r + lo (mod m)` where `r = 2^256 mod m`.
-    #[must_use]
-    pub fn reduce_wide(&self, mut lo: U256, mut hi: U256) -> U256 {
-        while !hi.is_zero() {
-            let (prod_lo, prod_hi) = hi.widening_mul(&self.r);
-            let (sum, carry) = lo.adc(&prod_lo);
-            lo = sum;
-            // carry feeds back into the high half (carry < 2, prod_hi small).
-            let (new_hi, overflow) = prod_hi.adc(&U256([u64::from(carry), 0, 0, 0]));
-            debug_assert!(!overflow);
-            hi = new_hi;
-        }
-        self.reduce(lo)
-    }
-
-    /// `base^exp mod m` by square-and-multiply.
-    #[must_use]
-    pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
-        let mut result = self.reduce(U256::ONE);
-        let base = self.reduce(*base);
-        let nbits = exp.bits();
-        for i in (0..nbits).rev() {
-            result = self.sqr(&result);
-            if exp.bit(i) {
-                result = self.mul(&result, &base);
-            }
-        }
-        result
-    }
-
-    /// Modular inverse via Fermat's little theorem (`m` must be prime).
-    #[must_use]
-    pub fn inv(&self, a: &U256) -> U256 {
-        let (m_minus_2, _) = self.m.sbb(&U256([2, 0, 0, 0]));
-        self.pow(a, &m_minus_2)
+        let mask = u64::from(borrow).wrapping_neg();
+        let fix = ct_select(mask, &self.m, &U256::ZERO);
+        diff.adc(&fix).0
     }
 
     /// `(-a) mod m`.
     #[must_use]
     pub fn neg(&self, a: &U256) -> U256 {
-        if a.is_zero() {
-            U256::ZERO
-        } else {
-            let (d, _) = self.m.sbb(a);
-            d
-        }
+        self.sub(&U256::ZERO, a)
     }
+
+    /// Montgomery product `a·b·R⁻¹ mod m` (CIOS: multiply and reduce one
+    /// limb of `b` at a time). `b` must be `< m`; `a` may be any 256-bit
+    /// value.
+    #[must_use]
+    pub fn mul(&self, a: &U256, b: &U256) -> U256 {
+        trace(Op::Mul);
+        let (a, m) = (&a.0, &self.m.0);
+        let mut t = [0u64; 6];
+        for &bi in &b.0 {
+            let mut c = 0u64;
+            for j in 0..4 {
+                let uv = u128::from(t[j]) + u128::from(a[j]) * u128::from(bi) + u128::from(c);
+                t[j] = uv as u64;
+                c = (uv >> 64) as u64;
+            }
+            let uv = u128::from(t[4]) + u128::from(c);
+            t[4] = uv as u64;
+            t[5] = (uv >> 64) as u64;
+            // Add q·m so the low limb cancels, then shift down one limb.
+            let q = t[0].wrapping_mul(self.m_inv);
+            let uv = u128::from(t[0]) + u128::from(q) * u128::from(m[0]);
+            let mut c = (uv >> 64) as u64;
+            for j in 1..4 {
+                let uv = u128::from(t[j]) + u128::from(q) * u128::from(m[j]) + u128::from(c);
+                t[j - 1] = uv as u64;
+                c = (uv >> 64) as u64;
+            }
+            let uv = u128::from(t[4]) + u128::from(c);
+            t[3] = uv as u64;
+            t[4] = t[5] + (uv >> 64) as u64;
+        }
+        self.sub_if_ge(U256([t[0], t[1], t[2], t[3]]), t[4])
+    }
+
+    /// Montgomery square `a²·R⁻¹ mod m`, `a < m`: the six cross products
+    /// are computed once and doubled, then the 512-bit square is reduced.
+    #[must_use]
+    pub fn sqr(&self, a: &U256) -> U256 {
+        trace(Op::Sqr);
+        let a = &a.0;
+        let mut t = [0u64; 8];
+        for i in 0..3 {
+            let mut c = 0u64;
+            for j in (i + 1)..4 {
+                let uv = u128::from(t[i + j]) + u128::from(a[i]) * u128::from(a[j]) + u128::from(c);
+                t[i + j] = uv as u64;
+                c = (uv >> 64) as u64;
+            }
+            t[i + 4] = c;
+        }
+        t[7] = t[6] >> 63;
+        for k in (2..7).rev() {
+            t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+        }
+        t[1] <<= 1;
+        let mut c = 0u64;
+        for i in 0..4 {
+            let sq = u128::from(a[i]) * u128::from(a[i]);
+            let lo = u128::from(t[2 * i]) + (sq & u128::from(u64::MAX)) + u128::from(c);
+            t[2 * i] = lo as u64;
+            let hi = u128::from(t[2 * i + 1]) + (sq >> 64) + (lo >> 64);
+            t[2 * i + 1] = hi as u64;
+            c = (hi >> 64) as u64;
+        }
+        // Montgomery reduction of the 512-bit t, one limb at a time; `top`
+        // carries into the limb the next round adds its carry to.
+        let mut top = 0u64;
+        for i in 0..4 {
+            let q = t[i].wrapping_mul(self.m_inv);
+            let mut c = 0u64;
+            for j in 0..4 {
+                let uv =
+                    u128::from(t[i + j]) + u128::from(q) * u128::from(self.m.0[j]) + u128::from(c);
+                t[i + j] = uv as u64;
+                c = (uv >> 64) as u64;
+            }
+            let uv = u128::from(t[i + 4]) + u128::from(c) + u128::from(top);
+            t[i + 4] = uv as u64;
+            top = (uv >> 64) as u64;
+        }
+        self.sub_if_ge(U256([t[4], t[5], t[6], t[7]]), top)
+    }
+
+    /// Converts into Montgomery form: `a·R mod m` (any 256-bit `a`).
+    #[must_use]
+    pub fn to_mont(&self, a: &U256) -> U256 {
+        self.mul(a, &self.r2)
+    }
+
+    /// Converts out of Montgomery form: `a·R⁻¹ mod m`.
+    #[must_use]
+    pub fn from_mont(&self, a: &U256) -> U256 {
+        self.mul(a, &U256::ONE)
+    }
+
+    /// Montgomery inverse: `a·R ↦ a⁻¹·R` (`m` must be prime; zero maps to
+    /// zero). Computes `a^(m-2)` with a fixed 4-bit window over the public
+    /// exponent: 14 multiplications build `a^1..a^15`, then each of the 63
+    /// remaining digits costs four squarings and, if non-zero, one
+    /// multiplication. The sequence depends on `m` only.
+    #[must_use]
+    pub fn inv(&self, a: &U256) -> U256 {
+        let mut powers = [*a; 16];
+        for i in 2..16 {
+            powers[i] = self.mul(&powers[i - 1], a);
+        }
+        let e = self.m.sbb(&U256([2, 0, 0, 0])).0;
+        // The top digit of m - 2 is non-zero because m > 2^255.
+        let mut acc = powers[nibble(&e, 63) as usize];
+        for w in (0..63).rev() {
+            for _ in 0..4 {
+                acc = self.sqr(&acc);
+            }
+            let d = nibble(&e, w) as usize;
+            if d != 0 {
+                acc = self.mul(&acc, &powers[d]);
+            }
+        }
+        acc
+    }
+}
+
+/// `(a + b) mod m` for `a, b < m`, branch-free (shared by
+/// [`Modulus::add`] and the compile-time constant computation).
+const fn add_mod(a: &U256, b: &U256, m: &U256) -> U256 {
+    let (sum, carry) = a.adc(b);
+    let (d, borrow) = sum.sbb(m);
+    // Keep the raw sum only when it neither overflowed nor reached m.
+    let keep = ((borrow as u64) & !(carry as u64)).wrapping_neg();
+    ct_select(keep, &sum, &d)
 }
 
 /// Curve parameters for P-256.
 pub mod curve {
     use super::{Modulus, U256};
-    use std::sync::OnceLock;
 
-    /// Field prime `p`.
-    pub fn p() -> U256 {
-        U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-    }
+    /// Field prime `p = 2^256 - 2^224 + 2^192 + 2^96 - 1`.
+    pub const P: U256 = U256([
+        0xffff_ffff_ffff_ffff,
+        0x0000_0000_ffff_ffff,
+        0x0000_0000_0000_0000,
+        0xffff_ffff_0000_0001,
+    ]);
 
     /// Group order `n`.
-    pub fn n() -> U256 {
-        U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
-    }
+    pub const N: U256 = U256([
+        0xf3b9_cac2_fc63_2551,
+        0xbce6_faad_a717_9e84,
+        0xffff_ffff_ffff_ffff,
+        0xffff_ffff_0000_0000,
+    ]);
 
     /// Curve coefficient `b` (`a` is `p - 3`).
-    pub fn b() -> U256 {
-        U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
-    }
+    pub const B: U256 = U256([
+        0x3bce_3c3e_27d2_604b,
+        0x651d_06b0_cc53_b0f6,
+        0xb3eb_bd55_7698_86bc,
+        0x5ac6_35d8_aa3a_93e7,
+    ]);
 
     /// Base point x-coordinate.
-    pub fn gx() -> U256 {
-        U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296")
-    }
+    pub const GX: U256 = U256([
+        0xf4a1_3945_d898_c296,
+        0x7703_7d81_2deb_33a0,
+        0xf8bc_e6e5_63a4_40f2,
+        0x6b17_d1f2_e12c_4247,
+    ]);
 
     /// Base point y-coordinate.
-    pub fn gy() -> U256 {
-        U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5")
-    }
+    pub const GY: U256 = U256([
+        0xcbb6_4068_37bf_51f5,
+        0x2bce_3357_6b31_5ece,
+        0x8ee7_eb4a_7c0f_9e16,
+        0x4fe3_42e2_fe1a_7f9b,
+    ]);
 
-    /// Field modulus context (cached).
-    pub fn fp() -> &'static Modulus {
-        static FP: OnceLock<Modulus> = OnceLock::new();
-        FP.get_or_init(|| Modulus::new(p()))
-    }
+    /// Field modulus context.
+    pub static FP: Modulus = Modulus::new(P);
 
-    /// Order modulus context (cached).
-    pub fn fn_() -> &'static Modulus {
-        static FN: OnceLock<Modulus> = OnceLock::new();
-        FN.get_or_init(|| Modulus::new(n()))
-    }
+    /// Order modulus context.
+    pub static FN: Modulus = Modulus::new(N);
 }
 
 /// A point on P-256 in affine coordinates, or the point at infinity.
@@ -325,8 +524,8 @@ impl AffinePoint {
     #[must_use]
     pub fn generator() -> Self {
         AffinePoint::Point {
-            x: curve::gx(),
-            y: curve::gy(),
+            x: curve::GX,
+            y: curve::GY,
         }
     }
 
@@ -336,11 +535,12 @@ impl AffinePoint {
         match self {
             AffinePoint::Infinity => true,
             AffinePoint::Point { x, y } => {
-                let fp = curve::fp();
-                let y2 = fp.sqr(y);
-                let x3 = fp.mul(&fp.sqr(x), x);
-                let three_x = fp.add(&fp.add(x, x), x);
-                let rhs = fp.add(&fp.sub(&x3, &three_x), &curve::b());
+                let fp = &curve::FP;
+                let (x, y) = (fp.to_mont(x), fp.to_mont(y));
+                let y2 = fp.sqr(&y);
+                let x3 = fp.mul(&fp.sqr(&x), &x);
+                let three_x = fp.add(&fp.add(&x, &x), &x);
+                let rhs = fp.add(&fp.sub(&x3, &three_x), &fp.to_mont(&curve::B));
                 y2 == rhs
             }
         }
@@ -377,8 +577,7 @@ impl AffinePoint {
         yb.copy_from_slice(&bytes[32..]);
         let x = U256::from_be_bytes(&xb);
         let y = U256::from_be_bytes(&yb);
-        let p = curve::p();
-        if !x.lt(&p) || !y.lt(&p) {
+        if !x.lt(&curve::P) || !y.lt(&curve::P) {
             return Err(crate::CryptoError::InvalidPoint);
         }
         let point = AffinePoint::Point { x, y };
@@ -388,20 +587,28 @@ impl AffinePoint {
         Ok(point)
     }
 
-    /// Converts to Jacobian coordinates.
+    /// Converts to Jacobian coordinates (Montgomery form).
     #[must_use]
     pub fn to_jacobian(&self) -> JacobianPoint {
-        match self {
-            AffinePoint::Infinity => JacobianPoint::infinity(),
-            AffinePoint::Point { x, y } => JacobianPoint {
-                x: *x,
-                y: *y,
-                z: U256::ONE,
-            },
+        match self.to_mont() {
+            None => JacobianPoint::infinity(),
+            Some(q) => q.to_jacobian(),
         }
     }
 
-    /// Scalar multiplication `k · self`.
+    /// The finite point's coordinates in Montgomery form.
+    fn to_mont(self) -> Option<MontAffine> {
+        match self {
+            AffinePoint::Infinity => None,
+            AffinePoint::Point { x, y } => Some(MontAffine {
+                x: curve::FP.to_mont(&x),
+                y: curve::FP.to_mont(&y),
+            }),
+        }
+    }
+
+    /// Scalar multiplication `k · self`, in constant time in `k` (see
+    /// [`JacobianPoint::mul_scalar`]).
     #[must_use]
     pub fn mul_scalar(&self, k: &U256) -> AffinePoint {
         self.to_jacobian().mul_scalar(k).to_affine()
@@ -410,10 +617,9 @@ impl AffinePoint {
     /// Fixed-base scalar multiplication `k · G` via the precomputed
     /// generator table — the hot path of keygen, signing and ECDHE.
     ///
-    /// Falls back to the same group law as [`AffinePoint::mul_scalar`]
-    /// semantically: `AffinePoint::mul_base(k) == G.mul_scalar(k)` for all
-    /// `k`, but runs in ~64 mixed additions instead of ~256 doublings plus
-    /// ~128 general additions.
+    /// `AffinePoint::mul_base(k) == G.mul_scalar(k)` for all `k`, but this
+    /// runs in 64 mixed additions instead of ~252 doublings plus 64
+    /// general additions. Constant time in `k`.
     #[must_use]
     pub fn mul_base(k: &U256) -> AffinePoint {
         mul_base_jacobian(k).to_affine()
@@ -427,15 +633,32 @@ pub fn mul_base_jacobian(k: &U256) -> JacobianPoint {
     GeneratorTable::get().mul(k)
 }
 
+/// A finite affine point with coordinates in Montgomery form.
+#[derive(Debug, Clone, Copy)]
+struct MontAffine {
+    x: U256,
+    y: U256,
+}
+
+impl MontAffine {
+    fn to_jacobian(self) -> JacobianPoint {
+        JacobianPoint {
+            x: self.x,
+            y: self.y,
+            z: curve::FP.one,
+        }
+    }
+}
+
 /// Precomputed windowed table for the generator: radix-16 decomposition,
-/// `points[w * 15 + (d - 1)] = d · 16^w · G` for `w ∈ 0..64`, `d ∈ 1..=16-1`.
+/// `points[w * 15 + (d - 1)] = d · 16^w · G` for `w ∈ 0..64`, `d ∈ 1..=15`.
 ///
-/// A 256-bit scalar splits into 64 hex digits, so `k · G` is the sum of at
-/// most 64 table entries — no doublings at all. Entries are stored affine
-/// (one Montgomery batch inversion at build time) so each accumulation is a
-/// cheap mixed addition.
+/// A 256-bit scalar splits into 64 hex digits, so `k · G` is the sum of one
+/// selected entry per window — no doublings at all. Entries are stored
+/// affine in Montgomery form (one batch inversion at build time) so each
+/// accumulation is a mixed addition.
 struct GeneratorTable {
-    points: Vec<AffinePoint>,
+    points: Vec<MontAffine>,
 }
 
 impl GeneratorTable {
@@ -463,32 +686,44 @@ impl GeneratorTable {
         }
     }
 
+    /// `k · G`: one masked scan and one mixed addition per hex digit of
+    /// `k mod n`; a zero digit's sum is computed and discarded by mask.
     fn mul(&self, k: &U256) -> JacobianPoint {
+        let k = curve::FN.reduce(*k);
         let mut acc = JacobianPoint::infinity();
-        for w in 0..64 {
-            let d = ((k.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize;
-            if d != 0 {
-                acc = acc.add_affine(&self.points[w * 15 + d - 1]);
+        for (w, window) in self.points.chunks_exact(15).enumerate() {
+            let d = nibble(&k, w);
+            let mut entry = MontAffine {
+                x: U256::ZERO,
+                y: U256::ZERO,
+            };
+            for (i, candidate) in (1u64..).zip(window) {
+                trace(Op::Read(i as u8));
+                let hit = ct_eq_mask(i, d);
+                entry.x = ct_select(hit, &candidate.x, &entry.x);
+                entry.y = ct_select(hit, &candidate.y, &entry.y);
             }
+            let sum = acc.add_mont_affine(&entry);
+            acc = JacobianPoint::select(ct_eq_mask(d, 0), &acc, &sum);
         }
         acc
     }
 }
 
 /// Converts a batch of Jacobian points (all finite) to affine with a single
-/// field inversion (Montgomery's trick).
-fn batch_to_affine(points: &[JacobianPoint]) -> Vec<AffinePoint> {
-    let fp = curve::fp();
+/// field inversion (Montgomery's trick); coordinates stay in Montgomery form.
+fn batch_to_affine(points: &[JacobianPoint]) -> Vec<MontAffine> {
+    let fp = &curve::FP;
     // prefix[i] = z_0 · z_1 · … · z_i
     let mut prefix = Vec::with_capacity(points.len());
-    let mut acc = U256::ONE;
+    let mut acc = fp.one;
     for p in points {
         debug_assert!(!p.is_infinity());
         acc = fp.mul(&acc, &p.z);
         prefix.push(acc);
     }
     let mut suffix_inv = fp.inv(&acc); // (z_0 · … · z_{n-1})^-1
-    let mut out = vec![AffinePoint::Infinity; points.len()];
+    let mut out = Vec::with_capacity(points.len());
     for i in (0..points.len()).rev() {
         let zinv = if i == 0 {
             suffix_inv
@@ -497,23 +732,22 @@ fn batch_to_affine(points: &[JacobianPoint]) -> Vec<AffinePoint> {
         };
         suffix_inv = fp.mul(&suffix_inv, &points[i].z);
         let zinv2 = fp.sqr(&zinv);
-        out[i] = AffinePoint::Point {
+        out.push(MontAffine {
             x: fp.mul(&points[i].x, &zinv2),
             y: fp.mul(&points[i].y, &fp.mul(&zinv2, &zinv)),
-        };
+        });
     }
+    out.reverse();
     out
 }
 
-/// A point in Jacobian projective coordinates (`x/z²`, `y/z³`).
+/// A point in Jacobian projective coordinates (`x/z²`, `y/z³`), each
+/// coordinate in Montgomery form; `z = 0` is the point at infinity.
 #[derive(Debug, Clone, Copy)]
 pub struct JacobianPoint {
-    /// Projective X.
-    pub x: U256,
-    /// Projective Y.
-    pub y: U256,
-    /// Projective Z (zero encodes infinity).
-    pub z: U256,
+    x: U256,
+    y: U256,
+    z: U256,
 }
 
 impl JacobianPoint {
@@ -521,8 +755,8 @@ impl JacobianPoint {
     #[must_use]
     pub fn infinity() -> Self {
         JacobianPoint {
-            x: U256::ONE,
-            y: U256::ONE,
+            x: curve::FP.one,
+            y: curve::FP.one,
             z: U256::ZERO,
         }
     }
@@ -530,16 +764,23 @@ impl JacobianPoint {
     /// True if this is the identity.
     #[must_use]
     pub fn is_infinity(&self) -> bool {
-        self.z.is_zero()
+        ct_is_zero(&self.z) != 0
     }
 
-    /// Point doubling (dbl-2001-b, a = -3).
+    /// `a` where `mask` is all-ones, `b` where it is zero.
+    fn select(mask: u64, a: &JacobianPoint, b: &JacobianPoint) -> JacobianPoint {
+        JacobianPoint {
+            x: ct_select(mask, &a.x, &b.x),
+            y: ct_select(mask, &a.y, &b.y),
+            z: ct_select(mask, &a.z, &b.z),
+        }
+    }
+
+    /// Point doubling (dbl-2001-b, a = -3). Needs no special case: at
+    /// infinity (`z = 0`) the formula yields `z3 = 2yz = 0` again.
     #[must_use]
     pub fn double(&self) -> JacobianPoint {
-        if self.is_infinity() || self.y.is_zero() {
-            return JacobianPoint::infinity();
-        }
-        let fp = curve::fp();
+        let fp = &curve::FP;
         let delta = fp.sqr(&self.z);
         let gamma = fp.sqr(&self.y);
         let beta = fp.mul(&self.x, &gamma);
@@ -569,16 +810,13 @@ impl JacobianPoint {
         }
     }
 
-    /// General point addition.
+    /// General point addition. Infinity operands are resolved by masked
+    /// selection; `P + (-P)` falls out of the formula as `z3 = 0`. Only
+    /// `P == Q` branches (to [`JacobianPoint::double`]), which the scalar
+    /// multiplications never reach from a reduced scalar.
     #[must_use]
     pub fn add(&self, other: &JacobianPoint) -> JacobianPoint {
-        if self.is_infinity() {
-            return *other;
-        }
-        if other.is_infinity() {
-            return *self;
-        }
-        let fp = curve::fp();
+        let fp = &curve::FP;
         let z1z1 = fp.sqr(&self.z);
         let z2z2 = fp.sqr(&other.z);
         let u1 = fp.mul(&self.x, &z2z2);
@@ -587,11 +825,10 @@ impl JacobianPoint {
         let s2 = fp.mul(&fp.mul(&other.y, &self.z), &z1z1);
         let h = fp.sub(&u2, &u1);
         let r = fp.sub(&s2, &s1);
-        if h.is_zero() {
-            if r.is_zero() {
-                return self.double();
-            }
-            return JacobianPoint::infinity();
+        let inf1 = ct_is_zero(&self.z);
+        let inf2 = ct_is_zero(&other.z);
+        if ct_is_zero(&h) & ct_is_zero(&r) & !inf1 & !inf2 != 0 {
+            return self.double();
         }
         let hh = fp.sqr(&h);
         let hhh = fp.mul(&h, &hh);
@@ -601,34 +838,37 @@ impl JacobianPoint {
         // y3 = r (v - x3) - s1 hhh
         let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.mul(&s1, &hhh));
         let z3 = fp.mul(&fp.mul(&self.z, &other.z), &h);
-        JacobianPoint {
+        let sum = JacobianPoint {
             x: x3,
             y: y3,
             z: z3,
-        }
+        };
+        let sum = JacobianPoint::select(inf1, other, &sum);
+        JacobianPoint::select(inf2, self, &sum)
     }
 
     /// Mixed addition with an affine point (`z₂ = 1`), saving four
     /// multiplications and a squaring over the general [`JacobianPoint::add`].
     #[must_use]
     pub fn add_affine(&self, other: &AffinePoint) -> JacobianPoint {
-        let AffinePoint::Point { x: x2, y: y2 } = other else {
-            return *self;
-        };
-        if self.is_infinity() {
-            return other.to_jacobian();
+        match other.to_mont() {
+            None => *self,
+            Some(q) => self.add_mont_affine(&q),
         }
-        let fp = curve::fp();
+    }
+
+    /// [`JacobianPoint::add_affine`] for a finite Montgomery-form point,
+    /// with the same special-case handling as [`JacobianPoint::add`].
+    fn add_mont_affine(&self, other: &MontAffine) -> JacobianPoint {
+        let fp = &curve::FP;
         let z1z1 = fp.sqr(&self.z);
-        let u2 = fp.mul(x2, &z1z1);
-        let s2 = fp.mul(&fp.mul(y2, &self.z), &z1z1);
+        let u2 = fp.mul(&other.x, &z1z1);
+        let s2 = fp.mul(&fp.mul(&other.y, &self.z), &z1z1);
         let h = fp.sub(&u2, &self.x);
         let r = fp.sub(&s2, &self.y);
-        if h.is_zero() {
-            if r.is_zero() {
-                return self.double();
-            }
-            return JacobianPoint::infinity();
+        let inf1 = ct_is_zero(&self.z);
+        if ct_is_zero(&h) & ct_is_zero(&r) & !inf1 != 0 {
+            return self.double();
         }
         let hh = fp.sqr(&h);
         let hhh = fp.mul(&h, &hh);
@@ -636,40 +876,62 @@ impl JacobianPoint {
         let x3 = fp.sub(&fp.sub(&fp.sqr(&r), &hhh), &fp.add(&v, &v));
         let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.mul(&self.y, &hhh));
         let z3 = fp.mul(&self.z, &h);
-        JacobianPoint {
+        let sum = JacobianPoint {
             x: x3,
             y: y3,
             z: z3,
-        }
+        };
+        JacobianPoint::select(inf1, &other.to_jacobian(), &sum)
     }
 
-    /// Scalar multiplication by double-and-add (MSB first).
+    /// Scalar multiplication `k · self` by a fixed 4-bit window, constant
+    /// time in `k`.
+    ///
+    /// A 16-entry table `[0·P, 1·P, …, 15·P]` lives on the stack. For each
+    /// hex digit of `k mod n`, most significant first, the accumulator is
+    /// doubled four times and the digit's entry — found by a masked scan of
+    /// all 16 — is added. With `k < n`, the accumulator before an addition
+    /// is `16·K` for the digits `K` read so far, and `16·K ± d ≡ 0 (mod n)`
+    /// only for `K = d = 0`, which the infinity masks handle; so the
+    /// doubling branch in [`JacobianPoint::add`] is never taken.
     #[must_use]
     pub fn mul_scalar(&self, k: &U256) -> JacobianPoint {
-        let mut acc = JacobianPoint::infinity();
-        let nbits = k.bits();
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if k.bit(i) {
-                acc = acc.add(self);
+        let k = curve::FN.reduce(*k);
+        let mut table = [JacobianPoint::infinity(); 16];
+        table[1] = *self;
+        table[2] = self.double();
+        for i in 3..16 {
+            table[i] = table[i - 1].add(self);
+        }
+        let lookup = |d: u64| {
+            let mut out = JacobianPoint::infinity();
+            for (i, entry) in (0u64..).zip(&table) {
+                trace(Op::Read(i as u8));
+                out = JacobianPoint::select(ct_eq_mask(i, d), entry, &out);
             }
+            out
+        };
+        let mut acc = lookup(nibble(&k, 63));
+        for w in (0..63).rev() {
+            acc = acc.double().double().double().double();
+            acc = acc.add(&lookup(nibble(&k, w)));
         }
         acc
     }
 
-    /// Converts back to affine coordinates.
+    /// Converts back to affine coordinates (out of Montgomery form).
     #[must_use]
     pub fn to_affine(&self) -> AffinePoint {
         if self.is_infinity() {
             return AffinePoint::Infinity;
         }
-        let fp = curve::fp();
+        let fp = &curve::FP;
         let zinv = fp.inv(&self.z);
         let zinv2 = fp.sqr(&zinv);
         let zinv3 = fp.mul(&zinv2, &zinv);
         AffinePoint::Point {
-            x: fp.mul(&self.x, &zinv2),
-            y: fp.mul(&self.y, &zinv3),
+            x: fp.from_mont(&fp.mul(&self.x, &zinv2)),
+            y: fp.from_mont(&fp.mul(&self.y, &zinv3)),
         }
     }
 }
@@ -677,6 +939,274 @@ impl JacobianPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-only recorder behind [`trace`]. [`ct_trace::capture`] returns
+    /// the field operations and secret-indexed table reads that one call
+    /// performed on this thread.
+    pub(super) mod ct_trace {
+        use super::super::Op;
+        use std::cell::RefCell;
+
+        thread_local! {
+            static LOG: RefCell<Option<Vec<Op>>> = const { RefCell::new(None) };
+        }
+
+        pub fn record(op: Op) {
+            LOG.with(|log| {
+                if let Some(ops) = log.borrow_mut().as_mut() {
+                    ops.push(op);
+                }
+            });
+        }
+
+        pub fn capture<R>(f: impl FnOnce() -> R) -> Vec<Op> {
+            LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+            std::hint::black_box(f());
+            LOG.with(|log| log.borrow_mut().take().expect("capture is not nested"))
+        }
+    }
+
+    /// The fold-reduction arithmetic, Fermat inversion and double-and-add
+    /// this module used before Montgomery form, kept as an independent
+    /// differential oracle. Values are plain (not Montgomery) throughout.
+    mod oracle {
+        use super::super::{curve, AffinePoint, U256};
+        use crate::ecdsa::Signature;
+
+        /// Modular arithmetic by folding: `hi·2^256 + lo ≡ hi·r + lo`
+        /// with `r = 2^256 mod m`, for any `m` in `(2^255, 2^256)`.
+        pub struct Fold {
+            pub m: U256,
+            r: U256,
+        }
+
+        impl Fold {
+            pub fn new(m: U256) -> Self {
+                let (r, _) = U256::ZERO.sbb(&m);
+                Fold { m, r }
+            }
+
+            pub fn reduce(&self, mut x: U256) -> U256 {
+                while !x.lt(&self.m) {
+                    x = x.sbb(&self.m).0;
+                }
+                x
+            }
+
+            pub fn add(&self, a: &U256, b: &U256) -> U256 {
+                let (sum, carry) = a.adc(b);
+                if carry || !sum.lt(&self.m) {
+                    sum.sbb(&self.m).0
+                } else {
+                    sum
+                }
+            }
+
+            pub fn sub(&self, a: &U256, b: &U256) -> U256 {
+                let (diff, borrow) = a.sbb(b);
+                if borrow {
+                    diff.adc(&self.m).0
+                } else {
+                    diff
+                }
+            }
+
+            pub fn mul(&self, a: &U256, b: &U256) -> U256 {
+                let (mut lo, mut hi) = a.widening_mul(b);
+                while !hi.is_zero() {
+                    let (prod_lo, prod_hi) = hi.widening_mul(&self.r);
+                    let (sum, carry) = lo.adc(&prod_lo);
+                    lo = sum;
+                    let (new_hi, overflow) = prod_hi.adc(&U256([u64::from(carry), 0, 0, 0]));
+                    assert!(!overflow);
+                    hi = new_hi;
+                }
+                self.reduce(lo)
+            }
+
+            pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
+                let mut result = self.reduce(U256::ONE);
+                let base = self.reduce(*base);
+                for i in (0..exp.bits()).rev() {
+                    result = self.mul(&result, &result);
+                    if exp.bit(i) {
+                        result = self.mul(&result, &base);
+                    }
+                }
+                result
+            }
+
+            pub fn inv(&self, a: &U256) -> U256 {
+                self.pow(a, &self.m.sbb(&U256([2, 0, 0, 0])).0)
+            }
+        }
+
+        pub fn fp() -> Fold {
+            Fold::new(curve::P)
+        }
+
+        pub fn fn_() -> Fold {
+            Fold::new(curve::N)
+        }
+
+        /// Jacobian point with plain coordinates and branching formulas.
+        #[derive(Clone, Copy)]
+        pub struct Point {
+            x: U256,
+            y: U256,
+            z: U256,
+        }
+
+        impl Point {
+            fn infinity() -> Self {
+                Point {
+                    x: U256::ONE,
+                    y: U256::ONE,
+                    z: U256::ZERO,
+                }
+            }
+
+            pub fn from_affine(p: &AffinePoint) -> Self {
+                match p {
+                    AffinePoint::Infinity => Point::infinity(),
+                    AffinePoint::Point { x, y } => Point {
+                        x: *x,
+                        y: *y,
+                        z: U256::ONE,
+                    },
+                }
+            }
+
+            fn double(&self) -> Point {
+                if self.z.is_zero() || self.y.is_zero() {
+                    return Point::infinity();
+                }
+                let fp = fp();
+                let delta = fp.mul(&self.z, &self.z);
+                let gamma = fp.mul(&self.y, &self.y);
+                let beta = fp.mul(&self.x, &gamma);
+                let t = fp.mul(&fp.sub(&self.x, &delta), &fp.add(&self.x, &delta));
+                let alpha = fp.add(&fp.add(&t, &t), &t);
+                let beta4 = fp.add(&fp.add(&beta, &beta), &fp.add(&beta, &beta));
+                let beta8 = fp.add(&beta4, &beta4);
+                let x3 = fp.sub(&fp.mul(&alpha, &alpha), &beta8);
+                let yz = fp.add(&self.y, &self.z);
+                let z3 = fp.sub(&fp.sub(&fp.mul(&yz, &yz), &gamma), &delta);
+                let g2 = fp.mul(&gamma, &gamma);
+                let g2_4 = fp.add(&fp.add(&g2, &g2), &fp.add(&g2, &g2));
+                let g2_8 = fp.add(&g2_4, &g2_4);
+                let y3 = fp.sub(&fp.mul(&alpha, &fp.sub(&beta4, &x3)), &g2_8);
+                Point {
+                    x: x3,
+                    y: y3,
+                    z: z3,
+                }
+            }
+
+            pub fn add(&self, other: &Point) -> Point {
+                if self.z.is_zero() {
+                    return *other;
+                }
+                if other.z.is_zero() {
+                    return *self;
+                }
+                let fp = fp();
+                let z1z1 = fp.mul(&self.z, &self.z);
+                let z2z2 = fp.mul(&other.z, &other.z);
+                let u1 = fp.mul(&self.x, &z2z2);
+                let u2 = fp.mul(&other.x, &z1z1);
+                let s1 = fp.mul(&fp.mul(&self.y, &other.z), &z2z2);
+                let s2 = fp.mul(&fp.mul(&other.y, &self.z), &z1z1);
+                let h = fp.sub(&u2, &u1);
+                let r = fp.sub(&s2, &s1);
+                if h.is_zero() {
+                    return if r.is_zero() {
+                        self.double()
+                    } else {
+                        Point::infinity()
+                    };
+                }
+                let hh = fp.mul(&h, &h);
+                let hhh = fp.mul(&h, &hh);
+                let v = fp.mul(&u1, &hh);
+                let x3 = fp.sub(&fp.sub(&fp.mul(&r, &r), &hhh), &fp.add(&v, &v));
+                let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.mul(&s1, &hhh));
+                let z3 = fp.mul(&fp.mul(&self.z, &other.z), &h);
+                Point {
+                    x: x3,
+                    y: y3,
+                    z: z3,
+                }
+            }
+
+            /// Double-and-add, most significant bit first.
+            pub fn mul_scalar(&self, k: &U256) -> Point {
+                let mut acc = Point::infinity();
+                for i in (0..k.bits()).rev() {
+                    acc = acc.double();
+                    if k.bit(i) {
+                        acc = acc.add(self);
+                    }
+                }
+                acc
+            }
+
+            pub fn to_affine(self) -> AffinePoint {
+                if self.z.is_zero() {
+                    return AffinePoint::Infinity;
+                }
+                let fp = fp();
+                let zinv = fp.inv(&self.z);
+                let zinv2 = fp.mul(&zinv, &zinv);
+                AffinePoint::Point {
+                    x: fp.mul(&self.x, &zinv2),
+                    y: fp.mul(&self.y, &fp.mul(&zinv2, &zinv)),
+                }
+            }
+        }
+
+        /// `k·G` by double-and-add.
+        pub fn mul_g(k: &U256) -> AffinePoint {
+            Point::from_affine(&AffinePoint::generator())
+                .mul_scalar(k)
+                .to_affine()
+        }
+
+        /// ECDSA verification over the oracle arithmetic.
+        pub fn verify(q: &AffinePoint, digest: &[u8; 32], sig: &Signature) -> bool {
+            let n = curve::N;
+            if sig.r.is_zero() || sig.s.is_zero() || !sig.r.lt(&n) || !sig.s.lt(&n) {
+                return false;
+            }
+            let fn_ = fn_();
+            let w = fn_.inv(&sig.s);
+            let u1 = fn_.mul(&fn_.reduce(U256::from_be_bytes(digest)), &w);
+            let u2 = fn_.mul(&sig.r, &w);
+            let g = Point::from_affine(&AffinePoint::generator());
+            let sum = g
+                .mul_scalar(&u1)
+                .add(&Point::from_affine(q).mul_scalar(&u2));
+            match sum.to_affine() {
+                AffinePoint::Infinity => false,
+                AffinePoint::Point { x, .. } => fn_.reduce(x) == sig.r,
+            }
+        }
+    }
+
+    /// Seeded xorshift64 stream of 256-bit values.
+    fn xorshift(seed: u64) -> impl FnMut() -> U256 {
+        let mut s = seed;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        move || U256([next(), next(), next(), next()])
+    }
+
+    /// Differential cases per operation in the oracle cross-checks.
+    const ORACLE_CASES: usize = 1000;
 
     #[test]
     fn u256_roundtrip_bytes() {
@@ -715,7 +1245,7 @@ mod tests {
 
     #[test]
     fn modulus_reduce_wide_agrees_with_naive() {
-        let fp = curve::fp();
+        let fp = &curve::FP;
         // x mod p for x slightly above p.
         let (above, _) = fp.m.adc(&U256([12345, 0, 0, 0]));
         assert_eq!(fp.reduce(above), U256([12345, 0, 0, 0]));
@@ -723,26 +1253,175 @@ mod tests {
 
     #[test]
     fn field_mul_matches_pow() {
-        let fp = curve::fp();
-        let a = U256::from_hex("deadbeef");
-        let a2 = fp.mul(&a, &a);
-        let a2_pow = fp.pow(&a, &U256([2, 0, 0, 0]));
+        let fp = &curve::FP;
+        let a = fp.to_mont(&U256::from_hex("deadbeef"));
+        let a2 = fp.from_mont(&fp.mul(&a, &a));
+        let a2_pow = oracle::fp().pow(&U256::from_hex("deadbeef"), &U256([2, 0, 0, 0]));
         assert_eq!(a2, a2_pow);
+        assert_eq!(fp.sqr(&a), fp.mul(&a, &a));
     }
 
     #[test]
     fn field_inverse() {
-        let fp = curve::fp();
-        let a = U256::from_hex("123456789abcdef123456789abcdef");
+        let fp = &curve::FP;
+        let a = fp.to_mont(&U256::from_hex("123456789abcdef123456789abcdef"));
         let inv = fp.inv(&a);
-        assert_eq!(fp.mul(&a, &inv), U256::ONE);
+        assert_eq!(fp.from_mont(&fp.mul(&a, &inv)), U256::ONE);
     }
 
     #[test]
     fn order_inverse() {
-        let fn_ = curve::fn_();
-        let a = U256::from_hex("abcdef0102030405");
-        assert_eq!(fn_.mul(&a, &fn_.inv(&a)), U256::ONE);
+        let fn_ = &curve::FN;
+        let a = fn_.to_mont(&U256::from_hex("abcdef0102030405"));
+        assert_eq!(fn_.from_mont(&fn_.mul(&a, &fn_.inv(&a))), U256::ONE);
+    }
+
+    #[test]
+    fn montgomery_field_ops_match_fold_oracle() {
+        for (modulus, fold) in [(&curve::FP, oracle::fp()), (&curve::FN, oracle::fn_())] {
+            let m = modulus.m;
+            let m_minus = |k: u64| m.sbb(&U256([k, 0, 0, 0])).0;
+            let below_2_256 = |k: u64| fold.reduce(U256::ZERO.sbb(&U256([k, 0, 0, 0])).0);
+            let mut inputs = vec![
+                U256::ZERO,
+                U256::ONE,
+                m_minus(1),
+                m_minus(2),
+                below_2_256(1),
+                below_2_256(2),
+                below_2_256(1 << 40),
+            ];
+            let mut next = xorshift(0x2545_f491_4f6c_dd1d ^ m.0[0]);
+            while inputs.len() < ORACLE_CASES + 7 {
+                inputs.push(fold.reduce(next()));
+            }
+            for pair in inputs.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                let (am, bm) = (modulus.to_mont(&a), modulus.to_mont(&b));
+                assert_eq!(modulus.from_mont(&am), a, "Montgomery round trip of {a:?}");
+                assert_eq!(modulus.from_mont(&modulus.mul(&am, &bm)), fold.mul(&a, &b));
+                assert_eq!(modulus.from_mont(&modulus.sqr(&am)), fold.mul(&a, &a));
+                assert_eq!(modulus.from_mont(&modulus.inv(&am)), fold.inv(&a));
+                assert_eq!(modulus.add(&a, &b), fold.add(&a, &b));
+                assert_eq!(modulus.sub(&a, &b), fold.sub(&a, &b));
+                let wide = next();
+                assert_eq!(modulus.reduce(wide), fold.reduce(wide));
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_mults_match_double_and_add_oracle() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        // A few public points for the variable-base routine.
+        let points: Vec<AffinePoint> = (0..4).map(|_| AffinePoint::mul_base(&next())).collect();
+        for i in 0..ORACLE_CASES {
+            let k = next();
+            assert_eq!(
+                AffinePoint::mul_base(&k),
+                oracle::mul_g(&k),
+                "k·G for {k:?}"
+            );
+            let q = &points[i % points.len()];
+            let expected = oracle::Point::from_affine(q).mul_scalar(&k).to_affine();
+            assert_eq!(q.mul_scalar(&k), expected, "k·Q for {k:?}");
+        }
+    }
+
+    #[test]
+    fn verify_matches_oracle() {
+        use crate::ecdsa::SigningKey;
+        let mut next = xorshift(0x0123_4567_89ab_cdef);
+        let keys: Vec<SigningKey> = (0..4)
+            .map(|_| SigningKey::from_scalar(curve::FN.reduce(next())).expect("non-zero scalar"))
+            .collect();
+        let mut accepted = 0;
+        for i in 0..ORACLE_CASES {
+            let key = &keys[i % keys.len()];
+            let digest = next().to_be_bytes();
+            let mut sig = key.sign_deterministic(&digest);
+            // Every other case is tampered: a flipped bit in r, s or the
+            // digest, or a different key.
+            let mut digest_checked = digest;
+            match i % 8 {
+                1 => sig.r.0[i % 4] ^= 1 << (i % 64),
+                3 => sig.s.0[(i / 4) % 4] ^= 1 << (i % 61),
+                5 => digest_checked[i % 32] ^= 0x80,
+                7 => {
+                    sig = keys[(i + 1) % keys.len()].sign_deterministic(&digest);
+                }
+                _ => {}
+            }
+            let q = key.verifying_key();
+            let got = q.verify(&digest_checked, &sig);
+            assert_eq!(
+                got,
+                oracle::verify(q.point(), &digest_checked, &sig),
+                "case {i}"
+            );
+            accepted += usize::from(got);
+        }
+        assert_eq!(
+            accepted,
+            ORACLE_CASES / 2,
+            "exactly the untampered half verifies"
+        );
+    }
+
+    #[test]
+    fn secret_scalar_paths_have_one_operation_trace() {
+        use crate::ecdh::EphemeralKeyPair;
+        let scalars = [
+            // Hamming weight 1: 2^200.
+            U256([0, 0, 0, 1 << 8]),
+            // Hamming weight 128.
+            U256([0xaaaa_aaaa_aaaa_aaaa; 4]),
+            // Hamming weight 251.
+            U256([
+                u64::MAX,
+                u64::MAX,
+                0xffff_ffff_ffff_fff0,
+                0x7fff_ffff_ffff_ffff,
+            ]),
+            // Bit length 129: 2^128 + 1.
+            U256([1, 0, 1, 0]),
+        ];
+        let peer = AffinePoint::mul_base(&U256::from_hex("c0ffee")).to_bytes();
+        let base = |k: &U256| ct_trace::capture(|| AffinePoint::mul_base(k));
+        let ecdh = |k: &U256| {
+            ct_trace::capture(|| {
+                EphemeralKeyPair::from_scalar(*k)
+                    .expect("scalar in range")
+                    .diffie_hellman(&peer)
+            })
+        };
+        let _ = base(&U256::ONE); // builds the generator table outside any trace
+        for path in [&base as &dyn Fn(&U256) -> Vec<Op>, &ecdh] {
+            let reference = path(&scalars[0]);
+            assert!(reference.iter().any(|op| matches!(op, Op::Read(_))));
+            for k in &scalars[1..] {
+                assert!(
+                    path(k) == reference,
+                    "operation trace depends on the scalar {k:?}"
+                );
+            }
+        }
+        // The trace does see a scalar-dependent branch: double-and-add over
+        // the same field operations gives a different trace per weight.
+        let g = AffinePoint::generator().to_jacobian();
+        let leaky = |k: &U256| {
+            ct_trace::capture(|| {
+                let mut acc = JacobianPoint::infinity();
+                for i in (0..256).rev() {
+                    acc = acc.double();
+                    if k.bit(i) {
+                        acc = acc.add(&g);
+                    }
+                }
+                acc
+            })
+        };
+        assert!(leaky(&scalars[0]) != leaky(&scalars[1]));
     }
 
     #[test]
@@ -779,18 +1458,18 @@ mod tests {
 
     #[test]
     fn order_times_generator_is_infinity() {
-        let ng = AffinePoint::generator().mul_scalar(&curve::n());
+        let ng = AffinePoint::generator().mul_scalar(&curve::N);
         assert_eq!(ng, AffinePoint::Infinity);
     }
 
     #[test]
     fn n_minus_one_g_is_negative_g() {
-        let (n_minus_1, _) = curve::n().sbb(&U256::ONE);
+        let (n_minus_1, _) = curve::N.sbb(&U256::ONE);
         let p = AffinePoint::generator().mul_scalar(&n_minus_1);
         match (p, AffinePoint::generator()) {
             (AffinePoint::Point { x, y }, AffinePoint::Point { x: gx, y: gy }) => {
                 assert_eq!(x, gx);
-                assert_eq!(y, curve::fp().neg(&gy));
+                assert_eq!(y, curve::FP.neg(&gy));
             }
             _ => panic!("unexpected infinity"),
         }
@@ -801,8 +1480,7 @@ mod tests {
         // (a + b) G == aG + bG for fixed scalars.
         let a = U256::from_hex("1111111111111111");
         let b = U256::from_hex("2222222222222222222222");
-        let fn_ = curve::fn_();
-        let ab = fn_.add(&a, &b);
+        let ab = curve::FN.add(&a, &b);
         let g = AffinePoint::generator().to_jacobian();
         let lhs = g.mul_scalar(&ab).to_affine();
         let rhs = g.mul_scalar(&a).add(&g.mul_scalar(&b)).to_affine();
@@ -811,18 +1489,12 @@ mod tests {
 
     #[test]
     fn mul_base_matches_double_and_add() {
-        // Deterministic xorshift64 scalars: table path vs generic path.
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let g = AffinePoint::generator();
+        // Deterministic xorshift64 scalars: table path vs the oracle's
+        // double-and-add.
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for _ in 0..16 {
-            let k = U256([next(), next(), next(), next()]);
-            assert_eq!(AffinePoint::mul_base(&k), g.mul_scalar(&k));
+            let k = next();
+            assert_eq!(AffinePoint::mul_base(&k), oracle::mul_g(&k));
         }
     }
 
@@ -836,8 +1508,8 @@ mod tests {
             g.to_jacobian().double().to_affine()
         );
         // n·G = ∞ through the table path too.
-        assert_eq!(AffinePoint::mul_base(&curve::n()), AffinePoint::Infinity);
-        let (n_minus_1, _) = curve::n().sbb(&U256::ONE);
+        assert_eq!(AffinePoint::mul_base(&curve::N), AffinePoint::Infinity);
+        let (n_minus_1, _) = curve::N.sbb(&U256::ONE);
         assert_eq!(AffinePoint::mul_base(&n_minus_1), g.mul_scalar(&n_minus_1));
         // Scalars above n wrap identically in both paths.
         let max = U256([u64::MAX; 4]);
@@ -861,7 +1533,7 @@ mod tests {
         };
         let neg = AffinePoint::Point {
             x,
-            y: curve::fp().neg(&y),
+            y: curve::FP.neg(&y),
         };
         assert!(p.add_affine(&neg).is_infinity());
         // Infinity operands.
@@ -890,7 +1562,7 @@ mod tests {
     #[test]
     fn coordinate_out_of_range_rejected() {
         let mut bytes = [0xffu8; 64];
-        bytes[32..].copy_from_slice(&curve::gy().to_be_bytes());
+        bytes[32..].copy_from_slice(&curve::GY.to_be_bytes());
         assert!(AffinePoint::from_bytes(&bytes).is_err());
     }
 }

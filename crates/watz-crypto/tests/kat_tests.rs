@@ -1,14 +1,16 @@
 //! Known-answer tests for the cryptographic primitives, against published
 //! vectors: FIPS 197 (AES), the NIST GCM reference vectors, RFC 4493
 //! (AES-CMAC), FIPS 180-4 / NIST examples (SHA-256) and RFC 4231
-//! (HMAC-SHA256). The SP 800-108 CMAC-mode KDF (the paper's SGX-style
+//! (HMAC-SHA256) and NIST CAVS ECC CDH (P-256 ECDH). The SP 800-108 CMAC-mode KDF (the paper's SGX-style
 //! derivation) is checked structurally against the KAT-verified CMAC.
 
 use watz_crypto::aes::Aes;
 use watz_crypto::cmac::{aes_cmac, AesCmac};
+use watz_crypto::ecdh::EphemeralKeyPair;
 use watz_crypto::gcm::AesGcm128;
 use watz_crypto::hmac::hmac_sha256;
 use watz_crypto::kdf::{derive_kdk, derive_key, derive_session_keys};
+use watz_crypto::p256::U256;
 use watz_crypto::sha256::Sha256;
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -262,4 +264,33 @@ fn kdf_session_keys_match_manual_chain() {
     assert_eq!(keys.km, derive_key(&kdk, "SMK"));
     assert_eq!(keys.ke, derive_key(&kdk, "SK"));
     assert_ne!(keys.km, keys.ke);
+}
+
+// ---------------------------------------------------------------------------
+// P-256 ECDH (NIST CAVS 14.1 ECC CDH primitive, KAS_ECC_CDH_PrimitiveTest,
+// curve P-256, COUNT = 0)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn ecdh_p256_nist_cavs_count0() {
+    let d_iut = U256::from_be_bytes(&unhex32(
+        "7d7dc5f71eb29ddaf80d6214632eeae03d9058af1fb6d22ed80badb62bc1a534",
+    ));
+    let q_cavs = [
+        unhex("700c48f77f56584c5cc632ca65640db91b6bacce3a4df6b42ce7cc838833d287"),
+        unhex("db71e509e3fd9b060ddb20ba5c51dcc5948d46fbf640dfe0441782cab85fa4ac"),
+    ]
+    .concat();
+    let q_iut = [
+        unhex("ead218590119e8876b29146ff89ca61770c4edbbf97d38ce385ed281d8a6b230"),
+        unhex("28af61281fd35e2fa7002523acc85a429cb06ee6648325389f59edfce1405141"),
+    ]
+    .concat();
+    let pair = EphemeralKeyPair::from_scalar(d_iut).unwrap();
+    assert_eq!(pair.public_bytes().to_vec(), q_iut);
+    let shared = pair.diffie_hellman(&q_cavs.try_into().unwrap()).unwrap();
+    assert_eq!(
+        shared,
+        unhex32("46fc62106420ff012e54a434fbdd2d25ccc5852060561e68040dd7778997bd7b")
+    );
 }

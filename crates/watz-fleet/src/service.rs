@@ -264,13 +264,20 @@ impl FleetStats {
     }
 }
 
-/// Per-phase handshake timing samples (microseconds), one entry per
-/// session that crossed the phase boundary.
+/// Samples each phase of a [`PhaseStats`] keeps at most.
+pub const PHASE_RESERVOIR: usize = 4096;
+
+/// Per-phase handshake timing samples (microseconds).
+///
+/// Each phase keeps every sample until it holds [`PHASE_RESERVOIR`] of
+/// them, and from then on a uniform random subset of that size (reservoir
+/// sampling with a deterministic xorshift), so memory stays flat however
+/// many sessions a verifier serves. [`PhaseStats::counts`] stays exact.
 ///
 /// The four phases itemize verifier-side session latency the same way
 /// the engine's `ExecProfile` itemizes kernel time: where a session's
 /// wall clock actually went between accept and the final verdict.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PhaseStats {
     /// Accept (admission to a worker) → `msg0` arrival.
     pub accept_to_msg0: Vec<u64>,
@@ -283,24 +290,63 @@ pub struct PhaseStats {
     /// `msg2` arrival → verdict (`msg3` or rejection) sent (includes the
     /// batched appraisal entry).
     pub msg2_to_msg3: Vec<u64>,
+    /// Per phase, in handshake order: samples seen but not held, so a
+    /// phase's exact count is its length plus this.
+    dropped: [u64; 4],
+    /// xorshift64 state for reservoir replacement.
+    rng: u64,
+}
+
+impl Default for PhaseStats {
+    fn default() -> Self {
+        PhaseStats {
+            accept_to_msg0: Vec::new(),
+            msg0_to_msg1: Vec::new(),
+            msg1_to_msg2: Vec::new(),
+            msg2_to_msg3: Vec::new(),
+            dropped: [0; 4],
+            rng: 0x9e37_79b9_7f4a_7c15,
+        }
+    }
 }
 
 impl PhaseStats {
     /// No phase boundary was ever crossed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.accept_to_msg0.is_empty()
-            && self.msg0_to_msg1.is_empty()
-            && self.msg1_to_msg2.is_empty()
-            && self.msg2_to_msg3.is_empty()
+        self.counts() == [0; 4]
+    }
+
+    /// Exact number of samples each phase has seen, in handshake order.
+    #[must_use]
+    pub fn counts(&self) -> [u64; 4] {
+        let mut counts = self.dropped;
+        for (count, (_, samples)) in counts.iter_mut().zip(self.phases()) {
+            *count += samples.len() as u64;
+        }
+        counts
     }
 
     /// Merges another snapshot into this one (shard/worker aggregation).
+    /// Each phase stays a uniform sample of everything either side saw,
+    /// capped at [`PHASE_RESERVOIR`].
     pub fn merge(&mut self, other: &PhaseStats) {
-        self.accept_to_msg0.extend_from_slice(&other.accept_to_msg0);
-        self.msg0_to_msg1.extend_from_slice(&other.msg0_to_msg1);
-        self.msg1_to_msg2.extend_from_slice(&other.msg1_to_msg2);
-        self.msg2_to_msg3.extend_from_slice(&other.msg2_to_msg3);
+        let PhaseStats {
+            accept_to_msg0,
+            msg0_to_msg1,
+            msg1_to_msg2,
+            msg2_to_msg3,
+            dropped,
+            rng,
+        } = self;
+        let mine = [accept_to_msg0, msg0_to_msg1, msg1_to_msg2, msg2_to_msg3];
+        for ((into, into_dropped), ((_, from), &from_dropped)) in mine
+            .into_iter()
+            .zip(dropped.iter_mut())
+            .zip(other.phases().into_iter().zip(&other.dropped))
+        {
+            merge_phase(into, into_dropped, from, from_dropped, rng);
+        }
     }
 
     /// `(name, samples)` pairs in handshake order, for reporting.
@@ -313,6 +359,73 @@ impl PhaseStats {
             ("msg2→msg3", &self.msg2_to_msg3),
         ]
     }
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Merges one phase: `from` (holding all but `from_dropped` of its
+/// samples) into `into` (likewise `into_dropped`).
+fn merge_phase(
+    into: &mut Vec<u64>,
+    into_dropped: &mut u64,
+    from: &[u64],
+    from_dropped: u64,
+    rng: &mut u64,
+) {
+    if from_dropped == 0 {
+        // `from` is exact: stream its samples through the reservoir.
+        for &sample in from {
+            offer(into, into_dropped, sample, rng);
+        }
+    } else if *into_dropped == 0 {
+        // Only `from` is a sample: start from it and stream ours in.
+        let exact = std::mem::replace(into, from.to_vec());
+        *into_dropped = from_dropped;
+        for sample in exact {
+            offer(into, into_dropped, sample, rng);
+        }
+    } else {
+        // Both are samples: draw from each in proportion to the count it
+        // stands for.
+        let into_count = into.len() as u64 + *into_dropped;
+        let total = into_count + from.len() as u64 + from_dropped;
+        let keep = (PHASE_RESERVOIR as u128 * u128::from(into_count) / u128::from(total)) as usize;
+        let mut other = from.to_vec();
+        keep_random(into, keep, rng);
+        keep_random(&mut other, PHASE_RESERVOIR - keep, rng);
+        into.extend_from_slice(&other);
+        *into_dropped = total - into.len() as u64;
+    }
+}
+
+/// Reservoir step (Algorithm R): the `(seen + 1)`-th sample replaces a
+/// random slot with probability `PHASE_RESERVOIR / (seen + 1)`.
+fn offer(into: &mut Vec<u64>, dropped: &mut u64, sample: u64, rng: &mut u64) {
+    if into.len() < PHASE_RESERVOIR {
+        into.push(sample);
+        return;
+    }
+    let seen = into.len() as u64 + *dropped;
+    *dropped += 1;
+    let slot = xorshift(rng) % (seen + 1);
+    if let Some(kept) = usize::try_from(slot).ok().and_then(|i| into.get_mut(i)) {
+        *kept = sample;
+    }
+}
+
+/// Keeps a uniform random `k`-subset of `samples` (partial Fisher–Yates).
+fn keep_random(samples: &mut Vec<u64>, k: usize, rng: &mut u64) {
+    let k = k.min(samples.len());
+    for i in 0..k {
+        let j = i + (xorshift(rng) % (samples.len() - i) as u64) as usize;
+        samples.swap(i, j);
+    }
+    samples.truncate(k);
 }
 
 /// p50/p95/p99 of unsorted microsecond samples; `None` when empty.
@@ -938,7 +1051,8 @@ impl FleetVerifier {
         self.stats.snapshot()
     }
 
-    /// A snapshot of the per-phase handshake timing samples.
+    /// A snapshot of the per-phase handshake timing samples (at most
+    /// [`PHASE_RESERVOIR`] per phase, with exact counts).
     #[must_use]
     pub fn phase_stats(&self) -> PhaseStats {
         self.stats.phases.lock().clone()
@@ -1084,6 +1198,57 @@ mod tests {
             names,
             ["accept→msg0", "msg0→msg1", "msg1→msg2", "msg2→msg3"]
         );
+    }
+
+    #[test]
+    fn phase_reservoir_stays_bounded_and_unbiased() {
+        // The stream 0..100 000 in order, merged in worker-sweep-sized
+        // batches: an early- or late-biased reservoir would move p50.
+        const N: u64 = 100_000;
+        let stream: Vec<u64> = (0..N).collect();
+        let mut stats = PhaseStats::default();
+        for batch in stream.chunks(7) {
+            let mut local = PhaseStats::default();
+            local.accept_to_msg0.extend_from_slice(batch);
+            local.msg0_to_msg1.extend_from_slice(batch);
+            local.msg2_to_msg3.extend(batch.iter().map(|x| x * 2));
+            stats.merge(&local);
+        }
+        for (name, samples) in stats.phases() {
+            assert!(
+                samples.len() <= PHASE_RESERVOIR,
+                "phase {name} holds {}",
+                samples.len()
+            );
+        }
+        assert_eq!(stats.counts(), [N, N, 0, N]);
+        let close = |samples: &[u64], median: f64| {
+            let (p50, _, _) = percentiles_us(samples).unwrap();
+            (p50 as f64 - median).abs() <= 0.05 * median
+        };
+        assert!(close(&stats.msg0_to_msg1, N as f64 / 2.0));
+        assert!(close(&stats.msg2_to_msg3, N as f64));
+
+        // Shard aggregation: two capped halves, and a capped half merged
+        // into an exact one, stay bounded, exact in count and unbiased.
+        let (mut low, mut high) = (PhaseStats::default(), PhaseStats::default());
+        low.merge(&PhaseStats {
+            msg1_to_msg2: (0..N / 2).collect(),
+            ..PhaseStats::default()
+        });
+        high.merge(&PhaseStats {
+            msg1_to_msg2: (N / 2..N).collect(),
+            ..PhaseStats::default()
+        });
+        let mut exact = PhaseStats::default();
+        exact.msg1_to_msg2.extend(0..10);
+        exact.merge(&high);
+        assert_eq!(exact.counts()[2], N / 2 + 10);
+        assert_eq!(exact.msg1_to_msg2.len(), PHASE_RESERVOIR);
+        low.merge(&high);
+        assert_eq!(low.counts()[2], N);
+        assert_eq!(low.msg1_to_msg2.len(), PHASE_RESERVOIR);
+        assert!(close(&low.msg1_to_msg2, N as f64 / 2.0));
     }
 
     #[test]

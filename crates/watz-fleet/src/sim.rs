@@ -317,12 +317,11 @@ impl std::fmt::Display for FleetReport {
             self.stats.appraisal_batches,
             self.world_switches()
         )?;
-        for (name, samples) in self.phases.phases() {
+        for ((name, samples), count) in self.phases.phases().into_iter().zip(self.phases.counts()) {
             if let Some((p50, p95, p99)) = percentiles_us(samples) {
                 writeln!(
                     f,
-                    "  phase {name}: p50 {p50}us p95 {p95}us p99 {p99}us ({} samples)",
-                    samples.len()
+                    "  phase {name}: p50 {p50}us p95 {p95}us p99 {p99}us ({count} samples)"
                 )?;
             }
         }
