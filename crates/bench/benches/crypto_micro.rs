@@ -31,6 +31,13 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| cipher.encrypt(&[0u8; 12], std::hint::black_box(&data), b""));
     });
 
+    // The attester side of msg3: verify the tag, then decrypt.
+    g.bench_function("gcm_decrypt_1mb", |b| {
+        let cipher = AesGcm128::new(&[2u8; 16]);
+        let (ct, tag) = cipher.encrypt(&[0u8; 12], &vec![0u8; 1 << 20], b"");
+        b.iter(|| cipher.decrypt(&[0u8; 12], std::hint::black_box(&ct), b"", &tag));
+    });
+
     g.bench_function("ecdsa_sign", |b| {
         let mut rng = Fortuna::from_seed(b"bench");
         let key = SigningKey::generate(&mut rng);

@@ -269,8 +269,9 @@ impl Verifier {
         }
 
         self.state = State::Attested { keys };
-        let secret = self.config.policy.secret_blob.clone();
-        let msg3 = self.build_msg3_with(&secret, &mut t)?;
+        // Share the policy rather than copy the (possibly megabyte) secret.
+        let policy = Arc::clone(&self.config.policy);
+        let msg3 = self.build_msg3_with(&policy.secret_blob, &mut t)?;
         Ok((msg3, t))
     }
 

@@ -31,36 +31,54 @@ impl Fortuna {
     /// Creates a generator seeded with `seed` (e.g. the device MKVB).
     #[must_use]
     pub fn from_seed(seed: &[u8]) -> Self {
-        let mut g = Fortuna {
-            key: [0u8; 32],
-            counter: 0,
-            cipher: Aes::new_256(&[0u8; 32]),
-        };
-        g.reseed(seed);
-        g
+        // The first reseed, from the all-zero key and counter, without
+        // expanding a key that is replaced at once.
+        let key = Self::rehash(&[0u8; 32], seed);
+        Fortuna {
+            key,
+            counter: 1,
+            cipher: Aes::new_256(&key),
+        }
     }
 
     /// Mixes additional seed material into the generator state.
     pub fn reseed(&mut self, seed: &[u8]) {
-        let mut h = Sha256::new();
-        h.update(&self.key);
-        h.update(seed);
-        self.key = h.finalize();
+        self.key = Self::rehash(&self.key, seed);
         self.counter = self.counter.wrapping_add(1);
         self.cipher = Aes::new_256(&self.key);
     }
 
     /// Fills `out` with pseudorandom bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(16) {
-            let block = self.next_block();
-            chunk.copy_from_slice(&block[..chunk.len()]);
+        // The output blocks and the two generator-gate blocks that rekey
+        // the generator (so previous outputs are unrecoverable) are one
+        // counter stream, drawn four blocks per cipher call.
+        let out_len = out.len();
+        let out_blocks = out_len.div_ceil(16);
+        let total = out_blocks + 2;
+        let mut next_key = [0u8; 32];
+        let mut done = 0;
+        while done < total {
+            let take = (total - done).min(4);
+            // Counter is encoded little-endian per the Fortuna reference
+            // design. Lanes past `take` are encrypted and discarded.
+            let mut batch: [[u8; 16]; 4] =
+                core::array::from_fn(|i| self.counter.wrapping_add(i as u128).to_le_bytes());
+            self.cipher.encrypt4(&mut batch);
+            self.counter = self.counter.wrapping_add(take as u128);
+            for (idx, block) in (done..).zip(&batch[..take]) {
+                let dst = if idx < out_blocks {
+                    let start = 16 * idx;
+                    &mut out[start..(start + 16).min(out_len)]
+                } else {
+                    let start = 16 * (idx - out_blocks);
+                    &mut next_key[start..start + 16]
+                };
+                dst.copy_from_slice(&block[..dst.len()]);
+            }
+            done += take;
         }
-        // Generator gate: rekey so previous outputs are unrecoverable.
-        let k0 = self.next_block();
-        let k1 = self.next_block();
-        self.key[..16].copy_from_slice(&k0);
-        self.key[16..].copy_from_slice(&k1);
+        self.key = next_key;
         self.cipher = Aes::new_256(&self.key);
     }
 
@@ -80,17 +98,69 @@ impl Fortuna {
         u64::from_le_bytes(buf)
     }
 
-    fn next_block(&mut self) -> [u8; 16] {
-        // Counter is encoded little-endian per the Fortuna reference design.
-        let block = self.cipher.encrypt(&self.counter.to_le_bytes());
-        self.counter = self.counter.wrapping_add(1);
-        block
+    fn rehash(key: &[u8; 32], seed: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(key);
+        h.update(seed);
+        h.finalize()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::tests::oracle::TableAes;
+
+    /// The one-block-at-a-time generator over the table AES oracle.
+    struct OracleFortuna {
+        key: [u8; 32],
+        counter: u128,
+    }
+
+    impl OracleFortuna {
+        fn reseed(&mut self, seed: &[u8]) {
+            self.key = Fortuna::rehash(&self.key, seed);
+            self.counter = self.counter.wrapping_add(1);
+        }
+
+        fn fill_bytes(&mut self, out: &mut [u8]) {
+            let aes = TableAes::new(&self.key);
+            let mut next_block = || {
+                let mut block = self.counter.to_le_bytes();
+                aes.encrypt_block(&mut block);
+                self.counter = self.counter.wrapping_add(1);
+                block
+            };
+            for chunk in out.chunks_mut(16) {
+                chunk.copy_from_slice(&next_block()[..chunk.len()]);
+            }
+            let (k0, k1) = (next_block(), next_block());
+            self.key[..16].copy_from_slice(&k0);
+            self.key[16..].copy_from_slice(&k1);
+        }
+    }
+
+    #[test]
+    fn batched_stream_matches_one_block_oracle() {
+        let mut g = Fortuna::from_seed(b"mkvb");
+        let mut o = OracleFortuna {
+            key: [0u8; 32],
+            counter: 0,
+        };
+        o.reseed(b"mkvb");
+        for len in [
+            0usize, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65, 100, 1000,
+        ] {
+            let mut expect = vec![0u8; len];
+            o.fill_bytes(&mut expect);
+            assert_eq!(g.bytes(len), expect, "{len}-byte request");
+            assert_eq!((g.key, g.counter), (o.key, o.counter));
+            if len == 33 {
+                g.reseed(b"entropy");
+                o.reseed(b"entropy");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

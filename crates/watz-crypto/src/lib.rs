@@ -17,10 +17,13 @@
 //! This crate reimplements the whole suite from scratch in safe Rust,
 //! written for clarity first: the paper's absolute numbers come from a
 //! Cortex-A53 anyway, and EXPERIMENTS.md tracks the shape, not the
-//! milliseconds. P-256 is the exception, because it bounds how many
-//! attestation sessions a verifier serves: [`p256`] keeps values in
-//! Montgomery form and runs constant-time windowed scalar multiplication,
-//! checked against the simpler arithmetic it replaced.
+//! milliseconds. P-256 and AES-GCM are the exceptions. P-256 bounds how
+//! many attestation sessions a verifier serves: [`p256`] keeps values in
+//! Montgomery form and runs constant-time windowed scalar multiplication.
+//! AES-GCM bounds how fast the `msg3` secret arrives: [`aes`] is bitsliced
+//! (four blocks per call, the S-box as a Boolean circuit) and [`gcm`]'s
+//! GHASH is a carry-less multiply, so neither reads a table or branches on
+//! secret bits. Each is checked against the simpler code it replaced.
 //!
 //! # Example
 //!

@@ -85,11 +85,12 @@ fn aes128_fips197_example() {
     let key = unhex16("000102030405060708090a0b0c0d0e0f");
     let pt = unhex16("00112233445566778899aabbccddeeff");
     let aes = Aes::new_128(&key);
-    let ct = aes.encrypt(&pt);
-    assert_eq!(ct, unhex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-    let mut back = ct;
-    aes.decrypt_block(&mut back);
-    assert_eq!(back, pt);
+    // The decryption direction is checked by the unit tests, against the
+    // inverse cipher of the table oracle (the cipher encrypts only).
+    assert_eq!(
+        aes.encrypt(&pt),
+        unhex16("69c4e0d86a7b0430d8cdb78070b4c55a")
+    );
 }
 
 #[test]

@@ -271,11 +271,11 @@ impl WasiEnv {
             };
             session.received = Some(plaintext);
         }
-        let data = session.received.clone().expect("just set");
+        let data = session.received.as_deref().expect("just set");
         if data.len() > buf_len as usize {
             return Ok(err_codes::BUFFER_TOO_SMALL);
         }
-        memory.write_bytes(buf_ptr as u32, &data)?;
+        memory.write_bytes(buf_ptr as u32, data)?;
         Ok(data.len() as i32)
     }
 

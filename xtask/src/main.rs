@@ -1,6 +1,6 @@
 //! Repo-local task runner (`cargo run -p xtask -- lint`).
 //!
-//! `lint` enforces two offline rules CI gates on, beyond what clippy
+//! `lint` enforces three offline rules CI gates on, beyond what clippy
 //! covers:
 //!
 //! 1. **No `.unwrap()` / `.expect(` in the hot dispatch loops** — the
@@ -15,7 +15,14 @@
 //!    how wire parsers go wrong; conversions must be `try_from` or
 //!    explicitly allowlisted (e.g. masking the low byte).
 //!
-//! Both scans work on comment- and string-stripped source so matches in
+//! 3. **No lookup tables in the symmetric cipher** — the AES and GCM
+//!    sources (`watz-crypto/src/aes.rs`, `gcm.rs`) must not name an
+//!    `SBOX` or declare a `[u8; 256]` table. A table indexed by secret
+//!    state leaks it through the cache; the bitsliced AES and carry-less
+//!    GHASH need none, so a table cipher cannot come back silently. The
+//!    table oracle in their unit tests stays out of scope.
+//!
+//! All scans work on comment- and string-stripped source so matches in
 //! docs or literals don't count, and `#[cfg(test)]` modules are out of
 //! scope. Findings are compared against `xtask/lint-allow.txt`: lines of
 //! `file-suffix|needle`, where a finding is allowed when its file path
@@ -47,6 +54,12 @@ const DISPATCH_LOOPS: [(&str, &str); 2] = [
 const WIRE_PARSERS: [&str; 2] = [
     "crates/watz-attestation/src/wire.rs",
     "crates/watz-wasm/src/leb128.rs",
+];
+
+/// The constant-time symmetric cipher sources scanned for lookup tables.
+const CONSTANT_TIME: [&str; 2] = [
+    "crates/watz-crypto/src/aes.rs",
+    "crates/watz-crypto/src/gcm.rs",
 ];
 
 /// Narrowing integer casts a wire parser must not perform silently.
@@ -95,16 +108,22 @@ fn lint() -> ExitCode {
         });
     }
     for file in WIRE_PARSERS {
-        let path = root.join(file);
-        let src = read(&path);
-        let stripped = strip_comments_and_strings(&src);
-        // Unit tests at the file tail are out of scope.
-        let end = stripped.find("#[cfg(test)]").unwrap_or(stripped.len());
-        scan_lines(&src, &stripped, 0, end, &path, &mut findings, |s| {
+        scan_non_test(&root.join(file), &mut findings, |s| {
             NARROWING
                 .iter()
                 .find(|n| s.contains(**n))
                 .map(|n| format!("narrowing `{n}` cast in a wire parser"))
+        });
+    }
+    for file in CONSTANT_TIME {
+        scan_non_test(&root.join(file), &mut findings, |s| {
+            if s.contains("SBOX") {
+                Some("`SBOX` table in the constant-time cipher".to_string())
+            } else if s.replace(char::is_whitespace, "").contains("[u8;256]") {
+                Some("`[u8; 256]` table in the constant-time cipher".to_string())
+            } else {
+                None
+            }
         });
     }
 
@@ -138,10 +157,12 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s))",
+            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s), {} wire parser(s) \
+             and {} constant-time cipher source(s))",
             findings.len(),
             DISPATCH_LOOPS.len(),
-            WIRE_PARSERS.len()
+            WIRE_PARSERS.len(),
+            CONSTANT_TIME.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -161,6 +182,15 @@ fn repo_root() -> PathBuf {
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("lint target {} unreadable: {e}", path.display()))
+}
+
+/// Runs `check` over the non-test part of `path`: everything before the
+/// first `#[cfg(test)]` (unit tests sit at the file tail).
+fn scan_non_test(path: &Path, findings: &mut Vec<Finding>, check: impl Fn(&str) -> Option<String>) {
+    let src = read(path);
+    let stripped = strip_comments_and_strings(&src);
+    let end = stripped.find("#[cfg(test)]").unwrap_or(stripped.len());
+    scan_lines(&src, &stripped, 0, end, path, findings, check);
 }
 
 /// Runs `check` over every line intersecting `start..end` of the
